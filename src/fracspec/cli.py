@@ -137,11 +137,15 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
         k1=_get_str(raw, "k1", required=False),
         k2=_get_str(raw, "k2", required=False),
         N=_get_int(raw, "N", required=False),
-        N_ref=_get_int(raw, "N_ref", required=False) or 40,
+        N_ref=_get_int(raw, "N_ref", required=False),
         Ns=raw.get("Ns"),
         quad_points=_get_int(raw, "quad_points", required=False),
-        grid_points=_get_int(raw, "grid_points", required=False) or 1001,
+        grid_points=_get_int(raw, "grid_points", required=False),
     )
+    if cfg.N_ref is None:
+        cfg.N_ref = RunConfig.N_ref
+    if cfg.grid_points is None:
+        cfg.grid_points = RunConfig.grid_points
 
     out = out_override or _get_str(raw, "output", required=False)
     _require(
@@ -166,6 +170,7 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
             f"config: 'Ns' must be strictly ascending, got {cfg.Ns}",
         )
     _require(cfg.grid_points >= 2, "config: grid_points must be at least 2")
+    _require(cfg.N_ref >= 1, "config: N_ref must be at least 1")
 
     if command in ("solve", "converge"):
         _require(cfg.variant is not None, f"config: '{command}' needs a 'variant'")

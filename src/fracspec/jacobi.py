@@ -17,12 +17,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .specfun import log_gamma
 
 
 class QuadratureError(RuntimeError):
-    """Root finding for a quadrature rule failed to converge."""
+    """A Gauss-Jacobi rule came out with a nonpositive or non-finite weight."""
 
 
 @dataclass(frozen=True)
@@ -198,116 +199,67 @@ def weighted_deriv_identity_check(p, n: int, k: int, x: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
 
-def _P_and_dP(n: int, a: float, b: float, t: np.ndarray):
-    """P_n^{(a,b)}(t) and its t-derivative on [-1,1], via the recurrence and
-    d/dt P_n = (n+a+b+1)/2 P_{n-1}^{(a+1,b+1)}."""
-    t = np.atleast_1d(t)
+def _P_and_wdP(n: int, a: float, b: float, t: np.ndarray):
+    """P_n^{(a,b)}(t) and (1-t^2) P_n'(t) on [-1,1] for n >= 1, from one
+    recurrence pass for P_n and P_{n-1} and the identity
+
+        (2n+a+b)(1-t^2) P_n' = n(a-b-(2n+a+b)t) P_n + 2(n+a)(n+b) P_{n-1}.
+    """
     Pm1 = np.ones_like(t)
-    if n == 0:
-        return Pm1, np.zeros_like(t)
     P = 0.5 * ((a + b + 2.0) * t + a - b)
     for m in range(1, n):
         a1, a2, a3, a4 = _recurrence_step(m, a, b)
         P, Pm1 = ((a2 + a3 * t) * P - a4 * Pm1) / a1, P
-    # derivative through the degree-(n-1) polynomial with shifted exponents
-    a1p, b1p = a + 1, b + 1
-    Qm1 = np.ones_like(t)
-    if n - 1 == 0:
-        Q = Qm1
-    else:
-        Q = 0.5 * ((a1p + b1p + 2.0) * t + a1p - b1p)
-        for m in range(1, n - 1):
-            a1, a2, a3, a4 = _recurrence_step(m, a1p, b1p)
-            Q, Qm1 = ((a2 + a3 * t) * Q - a4 * Qm1) / a1, Q
-    return P, 0.5 * (n + a + b + 1) * Q
+    c = 2 * n + a + b
+    return P, (n * (a - b - c * t) * P + 2.0 * (n + a) * (n + b) * Pm1) / c
 
 
 def gauss_jacobi(p, n: int) -> QuadratureRule:
     """n-point Gauss-Jacobi rule for the weight omega^{(a,b)} on (0,1).
 
-    Nodes are the roots of G_n^{(a,b)}, located by bracketing sign changes
-    of P_n^{(a,b)} on a Chebyshev grid (a grid point where P_n is exactly
-    zero is taken as a root as it stands) and polishing each with Newton's
-    method on the three-term recurrence (derivative via the shifted-degree
-    identity), tolerance 1e-14, at most 100 iterations.  Weights come from
-    the classical formula through log-gamma and must all be positive.
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the monic recurrence for P_n^{(a,b)} on [-1,1], polished
+    together by one Newton step on the three-term recurrence and mapped to
+    (0,1).  Weights come from the classical formula through log-gamma, with
+    P_n' recomputed at the polished nodes; a nonpositive or non-finite
+    weight raises QuadratureError.
     """
     p = as_params(p)
     a, b = p.a, p.b
     if n < 1:
         raise ValueError(f"gauss_jacobi: need at least one point, got n={n}")
 
-    # Chebyshev-node scan: roots cluster like Chebyshev points, so a
-    # modestly oversampled cosine grid brackets all n of them.
-    M = 8 * n
-    brackets = []
-    while True:
-        grid = np.cos(np.pi * np.arange(M + 1) / M)[::-1]
-        vals, _ = _P_and_dP(n, a, b, grid)
-        sign = np.sign(vals)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        # a grid point where P rounds to exactly zero is a root in its own
-        # right (the centre root of a symmetric weight, say): neither of
-        # its intervals shows a strict sign change
-        zeros = np.nonzero(sign == 0)[0]
-        if idx.size + zeros.size == n:
-            brackets = sorted(
-                [(grid[i], grid[i + 1]) for i in idx]
-                + [(grid[i], grid[i]) for i in zeros]
-            )
-            break
-        M *= 2
-        if M > 2 ** 16 * max(n, 1):
-            raise QuadratureError(
-                f"gauss_jacobi: could not bracket {n} roots for (a={a}, b={b})"
-            )
+    # Jacobi matrix: diagonal d_k and squared off-diagonal e_k^2 of the monic
+    # recurrence.  d_0 and e_1^2 are written in closed form, because the
+    # general entries divide by a+b and by 1+a+b there.
+    s = a + b
+    k = np.arange(1.0, n)
+    diag = np.empty(n)
+    diag[0] = (b - a) / (s + 2.0)
+    diag[1:] = (b * b - a * a) / ((2 * k + s) * (2 * k + s + 2))
+    k = k[1:]
+    off2 = np.empty(n - 1)
+    off2[:1] = 4.0 * (1 + a) * (1 + b) / ((s + 2) ** 2 * (s + 3))
+    off2[1:] = (
+        4.0 * k * (k + a) * (k + b) * (k + s)
+        / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+    )
+    t = eigh_tridiagonal(diag, np.sqrt(off2), eigvals_only=True)
 
-    roots = np.empty(n)
-    for i, (lo, hi) in enumerate(brackets):
-        if lo == hi:
-            roots[i] = lo
-            continue
-        t = 0.5 * (lo + hi)
-        converged = False
-        for _ in range(100):
-            val, dval = _P_and_dP(n, a, b, np.array([t]))
-            val, dval = val[0], dval[0]
-            if dval != 0.0:
-                step = val / dval
-                tn = t - step
-            else:
-                tn = 0.5 * (lo + hi)
-            if not (lo < tn < hi):
-                # Newton left the bracket; fall back to bisection
-                if val > 0 and dval > 0 or val < 0 and dval < 0:
-                    hi = t
-                else:
-                    lo = t
-                tn = 0.5 * (lo + hi)
-            if abs(tn - t) <= 1e-14 * max(1.0, abs(tn)):
-                t = tn
-                converged = True
-                break
-            t = tn
-        if not converged:
-            raise QuadratureError(
-                f"gauss_jacobi: Newton failed to converge for root {i} "
-                f"of n={n}, (a={a}, b={b})"
-            )
-        roots[i] = t
-
-    _, dP = _P_and_dP(n, a, b, roots)
+    P, wdP = _P_and_wdP(n, a, b, t)
+    t = t - (1.0 - t * t) * P / wdP
+    _, wdP = _P_and_wdP(n, a, b, t)
     lw = (
         log_gamma(n + a + 1)
         + log_gamma(n + b + 1)
         - log_gamma(n + 1.0)
         - log_gamma(n + a + b + 1)
     )
-    weights = math.exp(lw) / ((1.0 - roots ** 2) * dP ** 2)
-    if not np.all(weights > 0):
+    # Gamma-ratio / ((1-t^2) P_n'^2), written through (1-t^2) P_n'
+    weights = math.exp(lw) * (1.0 - t * t) / wdP ** 2
+    if not np.all(np.isfinite(weights) & (weights > 0)):
         raise QuadratureError(
-            f"gauss_jacobi: nonpositive weight produced for n={n}, (a={a}, b={b})"
+            f"gauss_jacobi: nonpositive or non-finite weight for n={n}, (a={a}, b={b})"
         )
-    nodes = 0.5 * (roots + 1.0)
-    order = np.argsort(nodes)
-    return QuadratureRule(p, nodes[order], weights[order])
+    # eigh_tridiagonal returns the eigenvalues in ascending order
+    return QuadratureRule(p, 0.5 * (t + 1.0), weights)

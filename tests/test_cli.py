@@ -199,6 +199,15 @@ def test_config_errors_exit_1(tmp_path, capsys, mutate):
     assert "fracspec:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["grid_points", "N_ref"])
+def test_zero_setting_exits_1_not_defaulted(tmp_path, capsys, key):
+    # 0 is a value given, not a missing key: it must not turn into the default
+    cfg = _base(tmp_path, N=8, **{key: 0})
+    assert main(["solve", "--config", cfg]) == 1
+    assert f"{key} must be at least" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "solution.csv").exists()
+
+
 def test_unknown_key_exits_1(tmp_path, capsys):
     cfg = _base(tmp_path, N=8, flux_capacitor=1)
     assert main(["solve", "--config", cfg]) == 1

@@ -15,6 +15,7 @@ from fracspec import (
     gauss_jacobi,
     norm_G,
     norm_ratio_sq,
+    solve_beta,
     weighted_deriv_identity_check,
 )
 
@@ -143,8 +144,8 @@ def test_gauss_jacobi_single_point():
 
 
 def test_gauss_jacobi_root_exactly_on_scan_grid():
-    # a = b = -0.75, n = 1: P_1 rounds to exactly zero at the scan grid's
-    # centre point, so no interval shows a strict sign change
+    # a = b = -0.75, n = 1: P_1 rounds to exactly zero at the root t = 0,
+    # which a search for strict sign changes on a grid through t = 0 misses
     rule = gauss_jacobi((-0.75, -0.75), 1)
     assert abs(rule.nodes[0] - 0.5) < 1e-15
     assert abs(rule.weights[0] - beta(0.25, 0.25)) < 1e-14 * beta(0.25, 0.25)
@@ -181,6 +182,38 @@ def test_gauss_jacobi_against_library_oracle():
             # edge weights at large n carry a few extra ulps of roundoff in
             # both implementations, so the pointwise tolerance is relaxed
             assert np.max(np.abs(rule.weights / ref - 1)) < 1e-9
+
+
+def _solver_rule_exponents():
+    # the weight exponents assembly builds rules for: B0 acute and grave,
+    # B1, B2 and rhs, across the (alpha, r) window up to its edges
+    pairs = []
+    for alpha in (1.001, 1.05, 1.5, 1.95, 1.999):
+        for r in (0.0, 0.5, 1.0):
+            b = solve_beta(alpha, r).beta
+            pairs += [
+                (alpha - b - 1.0, b - 1.0),
+                (b - 1.0, alpha - b - 1.0),
+                (alpha - 1.0, alpha - 1.0),
+                (alpha, alpha),
+                (b, alpha - b),
+            ]
+    return pairs + [(-0.3, -0.7)]  # a + b = -1
+
+
+def test_gauss_jacobi_solver_exponents_against_library_oracle():
+    for (a, b) in _solver_rule_exponents():
+        total = beta(a + 1, b + 1)
+        for n in (1, 2, 28, 84, 148):
+            rule = gauss_jacobi((a, b), n)
+            with np.errstate(invalid="ignore"):
+                # at a + b = -1 the oracle forms a 0/0 that np.where discards
+                t, _ = roots_jacobi(n, a, b)
+            assert np.max(np.abs(rule.nodes - (t + 1) / 2)) < 1e-13
+            assert abs(rule.weights.sum() - total) <= 1e-9 * total
+            assert np.all(rule.weights > 0)
+            assert 0 < rule.nodes[0] and rule.nodes[-1] < 1
+            assert np.all(np.diff(rule.nodes) > 0)
 
 
 def test_gauss_jacobi_contract_sizes():
