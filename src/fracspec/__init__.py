@@ -11,28 +11,17 @@ machinery, assembly and linear algebra to convergence/comparison studies
 and a small CLI.
 """
 
-from .specfun import beta, gamma, log_gamma
+from .specfun import beta, log_gamma
 from .jacobi import (
     JacobiParams,
     QuadratureError,
     QuadratureRule,
-    deriv_G,
-    eval_G,
     eval_G_table,
     eval_Ghat_table,
     gauss_jacobi,
     norm_G,
-    norm_ratio_sq,
-    weighted_deriv_identity_check,
 )
-from .fracparams import (
-    FracParams,
-    beta_to_r,
-    mu,
-    predicted_rates,
-    sigma,
-    solve_beta,
-)
+from .fracparams import FracParams, mu, predicted_rates, solve_beta
 from .coeffexpr import EvalError, Expr, ParseError, breakpoints, parse, pretty
 from .spaces import (
     CoeffVec,
@@ -54,7 +43,7 @@ from .assembly import (
     composite_rule,
     k_floor,
 )
-from .linsolve import SingularMatrixError, condition_estimate, lu_factors, lu_solve
+from .linsolve import SingularMatrixError, condition_estimate, factor, lu_solve
 from .solver import Solution, solve
 from .experiments import (
     ComparisonReport,
@@ -69,24 +58,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "beta",
-    "gamma",
     "log_gamma",
     "JacobiParams",
     "QuadratureError",
     "QuadratureRule",
-    "deriv_G",
-    "eval_G",
     "eval_G_table",
     "eval_Ghat_table",
     "gauss_jacobi",
     "norm_G",
-    "norm_ratio_sq",
-    "weighted_deriv_identity_check",
     "FracParams",
-    "beta_to_r",
     "mu",
     "predicted_rates",
-    "sigma",
     "solve_beta",
     "EvalError",
     "Expr",
@@ -112,7 +94,7 @@ __all__ = [
     "k_floor",
     "SingularMatrixError",
     "condition_estimate",
-    "lu_factors",
+    "factor",
     "lu_solve",
     "Solution",
     "solve",

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .coeffexpr import breaks_of, sample
 from .fracparams import FracParams, mu
 from .jacobi import (
     JacobiParams,
@@ -57,7 +58,6 @@ class ProblemSpec:
     f: CoeffFn
     N: int
     quad_points: Optional[int] = None
-    N_ref: int = 40
 
     def __post_init__(self):
         if self.variant not in ("acute", "grave"):
@@ -71,8 +71,6 @@ class ProblemSpec:
                 f"ProblemSpec: quad_points must be at least N+20 = {self.N + 20}, "
                 f"got {self.quad_points}"
             )
-        if self.N_ref < 1:
-            raise ValueError(f"ProblemSpec: N_ref must be at least 1, got {self.N_ref}")
 
     @property
     def q(self) -> int:
@@ -141,35 +139,22 @@ def composite_rule(p, n: int, breaks) -> QuadratureRule:
     return QuadratureRule(p, nodes[order], weights[order])
 
 
-def _coeff_breaks(fn) -> list:
-    bp = getattr(fn, "breakpoints", None)
-    if callable(bp):
-        return [x for x in bp() if 0.0 < x < 1.0]
-    return []
-
-
-def _rule_for(spec: ProblemSpec, p: JacobiParams, fn) -> QuadratureRule:
-    breaks = _coeff_breaks(fn)
+def _rule_for(
+    spec: ProblemSpec, p: JacobiParams, fn
+) -> tuple[QuadratureRule, np.ndarray]:
+    """The q-point rule for weight p, split at fn's breakpoints, and fn
+    sampled on its nodes."""
+    breaks = breaks_of(fn)
     if breaks:
-        return composite_rule(p, spec.q, breaks)
-    return gauss_jacobi(p, spec.q)
-
-
-def _sample(fn, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(fn(nodes), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(x)) for x in nodes])
-    if vals.shape != nodes.shape:
-        vals = np.broadcast_to(vals, nodes.shape).astype(float)
-    return vals
+        rule = composite_rule(p, spec.q, breaks)
+    else:
+        rule = gauss_jacobi(p, spec.q)
+    return rule, sample(fn, rule.nodes)
 
 
 def k_floor(spec: ProblemSpec) -> tuple[float, float]:
     """Minimum of k over the assembly quadrature grid and where it occurs."""
-    p = _b0_params(spec)
-    rule = _rule_for(spec, p, spec.k)
-    kv = _sample(spec.k, rule.nodes)
+    rule, kv = _rule_for(spec, _b0_params(spec), spec.k)
     idx = int(np.argmin(kv))
     return float(kv[idx]), float(rule.nodes[idx])
 
@@ -197,8 +182,7 @@ def assemble_B0(spec: ProblemSpec) -> np.ndarray:
     """
     fp, N = spec.fp, spec.N
     p0 = _b0_params(spec)
-    rule = _rule_for(spec, p0, spec.k)
-    kv = _sample(spec.k, rule.nodes)
+    rule, kv = _rule_for(spec, p0, spec.k)
     kmin_idx = int(np.argmin(kv))
     if kv[kmin_idx] <= 0.0:
         raise AssemblyError(
@@ -224,8 +208,7 @@ def assemble_B1(spec: ProblemSpec) -> np.ndarray:
     function against the test polynomial; combined weight (alpha-1, alpha-1)."""
     fp, N = spec.fp, spec.N
     a, b = fp.alpha, fp.beta
-    rule = _rule_for(spec, JacobiParams(a - 1.0, a - 1.0), spec.b)
-    bv = _sample(spec.b, rule.nodes)
+    rule, bv = _rule_for(spec, JacobiParams(a - 1.0, a - 1.0), spec.b)
     test = eval_Ghat_table(JacobiParams(b, a - b), N, rule.nodes)
     dtrial = eval_Ghat_table(JacobiParams(a - b - 1.0, b - 1.0), N + 1, rule.nodes)[:, 1:]
     idx = np.arange(N + 1)
@@ -237,8 +220,7 @@ def assemble_B2(spec: ProblemSpec) -> np.ndarray:
     """Reaction block: c against trial times test, weight (alpha, alpha)."""
     fp, N = spec.fp, spec.N
     a, b = fp.alpha, fp.beta
-    rule = _rule_for(spec, JacobiParams(a, a), spec.c)
-    cv = _sample(spec.c, rule.nodes)
+    rule, cv = _rule_for(spec, JacobiParams(a, a), spec.c)
     trial = eval_Ghat_table(JacobiParams(a - b, b), N, rule.nodes)
     test = eval_Ghat_table(JacobiParams(b, a - b), N, rule.nodes)
     return (test * (rule.weights * cv)[:, None]).T @ trial
@@ -248,8 +230,7 @@ def assemble_rhs(spec: ProblemSpec) -> np.ndarray:
     """Load vector: entry j = integral of omega* f Ghat_j^{(beta,alpha-beta)}."""
     fp, N = spec.fp, spec.N
     a, b = fp.alpha, fp.beta
-    rule = _rule_for(spec, JacobiParams(b, a - b), spec.f)
-    fv = _sample(spec.f, rule.nodes)
+    rule, fv = _rule_for(spec, JacobiParams(b, a - b), spec.f)
     test = eval_Ghat_table(JacobiParams(b, a - b), N, rule.nodes)
     return test.T @ (rule.weights * fv)
 

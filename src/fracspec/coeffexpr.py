@@ -3,7 +3,8 @@
 Config files carry k(x), b(x), c(x), f(x) as strings like "exp(x)" or
 "piecewise(0.5; 2; 1)".  This module parses them into immutable ASTs that
 evaluate on scalars or numpy arrays and can report their jump locations so
-quadrature can split at them.
+quadrature can split at them.  sample and breaks_of are the one way the rest
+of the package evaluates any coefficient, parsed or a plain callable.
 
 Grammar (whitespace insignificant):
 
@@ -406,6 +407,34 @@ def parse(src: str) -> Expr:
 
 def breakpoints(e: Expr) -> list[float]:
     return e.breakpoints()
+
+
+def breaks_of(fn) -> list[float]:
+    """Breakpoints of a coefficient strictly inside (0,1); [] for a callable
+    that reports none."""
+    bp = getattr(fn, "breakpoints", None)
+    if callable(bp):
+        return [x for x in bp() if 0.0 < x < 1.0]
+    return []
+
+
+def sample(fn, x: np.ndarray) -> np.ndarray:
+    """A coefficient's values at the points x, as a float array shaped like x.
+
+    fn is called once on the whole array.  A callable that accepts only
+    scalars (TypeError or ValueError) is evaluated point by point, and a
+    constant result is broadcast.  An EvalError is a domain failure of the
+    coefficient itself and propagates at once.
+    """
+    try:
+        vals = np.asarray(fn(x), dtype=float)
+    except EvalError:
+        raise
+    except (TypeError, ValueError):
+        vals = np.array([float(fn(xi)) for xi in x])
+    if vals.shape != x.shape:
+        vals = np.broadcast_to(vals, x.shape).astype(float)
+    return vals
 
 
 def pretty(e: Expr) -> str:

@@ -9,6 +9,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import ProblemSpec
+from .coeffexpr import breaks_of, sample
 from .fracparams import FracParams, predicted_rates
 from .solver import solve
 from .spaces import error_norms
@@ -52,16 +53,10 @@ def observed_rate(e1: float, e2: float, N1: int, N2: int) -> float:
 def coeff_is_zero(fn) -> bool:
     """True when the coefficient samples to exactly zero on a fine grid."""
     xs = np.linspace(0.0, 1.0, 257)
-    bp = getattr(fn, "breakpoints", None)
-    if callable(bp):
-        extra = [b for b in bp() if 0.0 <= b <= 1.0]
-        if extra:
-            xs = np.sort(np.concatenate([xs, np.asarray(extra)]))
-    try:
-        vals = np.asarray(fn(xs), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(x)) for x in xs])
-    return bool(np.max(np.abs(vals)) == 0.0)
+    extra = breaks_of(fn)
+    if extra:
+        xs = np.sort(np.concatenate([xs, extra]))
+    return bool(np.max(np.abs(sample(fn, xs))) == 0.0)
 
 
 def _with_degree(spec: ProblemSpec, N: int) -> ProblemSpec:
@@ -72,17 +67,15 @@ def _with_degree(spec: ProblemSpec, N: int) -> ProblemSpec:
 
 
 def run_convergence(
-    spec_base: ProblemSpec, Ns: Sequence[int], N_ref: Optional[int] = None
+    spec_base: ProblemSpec, Ns: Sequence[int], N_ref: int = 40
 ) -> ConvergenceReport:
-    """Solve once at the reference degree, then at each N, reporting errors
-    of the expansion against the reference and the log-ratio rates."""
+    """Solve once at the reference degree N_ref, then at each N, reporting
+    errors of the expansion against the reference and the log-ratio rates."""
     Ns = [int(n) for n in Ns]
     if not Ns:
         raise ValueError("run_convergence: need at least one degree")
     if any(n2 <= n1 for n1, n2 in zip(Ns[:-1], Ns[1:])):
         raise ValueError(f"run_convergence: degrees must be ascending, got {Ns}")
-    if N_ref is None:
-        N_ref = spec_base.N_ref
     if max(Ns) >= N_ref:
         raise ValueError(
             f"run_convergence: max degree {max(Ns)} must stay below N_ref={N_ref}"

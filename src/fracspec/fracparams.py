@@ -8,7 +8,7 @@ companion exponent beta is pinned down by
 whose left side is a strictly monotone function of beta on the admissible
 window [alpha-1, 1].  The same denominator defines the negative constant
 c** = sin(pi alpha) / (sin(pi(alpha-beta)) + sin(pi beta)), which scales the
-eigenvalue sequences mu_k and sigma_k.
+eigenvalue sequence mu_k.
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ class FracParams:
 
 def _denominator(alpha: float, beta: float) -> float:
     return math.sin(math.pi * (alpha - beta)) + math.sin(math.pi * beta)
-
-
-def beta_to_r(alpha: float, beta: float) -> float:
-    """The weight r that the exponent beta corresponds to."""
-    return math.sin(math.pi * beta) / _denominator(alpha, beta)
 
 
 def _c_star_star(alpha: float, beta: float) -> float:
@@ -94,13 +89,6 @@ def mu(fp: FracParams, k: int) -> float:
     if k < 0:
         raise ValueError(f"mu: index must be nonnegative, got {k}")
     return fp.c_star_star * math.exp(log_gamma(k + fp.alpha) - log_gamma(k + 1.0))
-
-
-def sigma(fp: FracParams, k: int) -> float:
-    """sigma_k = -c** Gamma(k+alpha-1)/Gamma(k+1) > 0; |mu_k| = sigma_k (k+alpha-1)."""
-    if k < 0:
-        raise ValueError(f"sigma: index must be nonnegative, got {k}")
-    return -fp.c_star_star * math.exp(log_gamma(k + fp.alpha - 1.0) - log_gamma(k + 1.0))
 
 
 def predicted_rates(

@@ -3,7 +3,8 @@
 Matrices are plain row-major numpy arrays (the systems stay at or below
 65x65, so there is nothing to gain from sparsity).  Factorization is LU
 with partial pivoting; a pivot smaller than 1e-14 times the largest entry
-of A is treated as singular and reported with its index.
+of A is treated as singular and reported with its index.  One factor()
+serves both the solve and the condition estimate.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ class SingularMatrixError(RuntimeError):
     """Matrix is singular to working precision; names the failing pivot."""
 
 
-def _checked_factor(A: np.ndarray):
+def factor(A) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """Checked LU factorization of the square matrix A.
+
+    Returns (lu, piv, max|A|, ||A||_1), where lu and piv are the packed
+    factors and pivot indices of scipy.linalg.lu_factor.
+    """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -37,37 +43,30 @@ def _checked_factor(A: np.ndarray):
             f"matrix is singular to working precision: pivot {i} has magnitude "
             f"{pivots[i] if amax > 0 else 0.0:.3e} (threshold {1e-14 * amax:.3e})"
         )
-    return A, lu, piv, amax
+    return lu, piv, amax, float(np.linalg.norm(A, 1))
 
 
-def lu_solve(A, rhs) -> tuple[np.ndarray, float]:
-    """Solve A x = rhs by LU with partial pivoting.
+def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:
+    """Solve A x = rhs with the factors of A from factor().
 
     Returns the solution together with the reciprocal pivot-growth ratio
     max|A| / max|U|; values near 1 indicate a benign elimination.
     """
+    lu, piv, amax, _ = factors
     rhs = np.asarray(rhs, dtype=float)
-    A, lu, piv, amax = _checked_factor(A)
-    if rhs.shape != (A.shape[0],):
+    if rhs.shape != (lu.shape[0],):
         raise ValueError(
-            f"rhs length {rhs.shape} does not match matrix order {A.shape[0]}"
+            f"rhs length {rhs.shape} does not match matrix order {lu.shape[0]}"
         )
     x = scipy.linalg.lu_solve((lu, piv), rhs)
     umax = float(np.max(np.abs(np.triu(lu))))
     return x, amax / umax
 
 
-def lu_factors(A) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Permutation, unit-lower and upper factors with P @ A = L @ U."""
-    A, _, _, _ = _checked_factor(A)
-    P, L, U = scipy.linalg.lu(A)
-    return P.T, L, U
-
-
-def condition_estimate(A) -> float:
-    """1-norm condition number estimate from the LU factors (LAPACK gecon)."""
-    A, lu, piv, _ = _checked_factor(A)
-    anorm = float(np.linalg.norm(A, 1))
+def condition_estimate(factors) -> float:
+    """1-norm condition number estimate from the factors of A from factor()
+    (LAPACK gecon)."""
+    lu, _, _, anorm = factors
     rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
     if info != 0:
         raise RuntimeError(f"condition estimate failed with LAPACK info {info}")

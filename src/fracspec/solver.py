@@ -8,7 +8,7 @@ import numpy as np
 
 from .assembly import ProblemSpec, assemble_system, k_floor
 from .fracparams import FracParams
-from .linsolve import condition_estimate, lu_solve
+from .linsolve import condition_estimate, factor, lu_solve
 from .spaces import CoeffVec, WeightSpec, eval_solution
 
 
@@ -32,8 +32,9 @@ def solve(spec: ProblemSpec) -> Solution:
     """Assemble and solve the Petrov-Galerkin system for the given variant."""
     system = assemble_system(spec)
     k_min, k_at = k_floor(spec)
-    phi_vec, pivot_growth = lu_solve(system.matrix, system.rhs)
-    cond = condition_estimate(system.matrix)
+    factors = factor(system.matrix)
+    phi_vec, pivot_growth = lu_solve(factors, system.rhs)
+    cond = condition_estimate(factors)
     res = system.matrix @ phi_vec - system.rhs
     denom = float(
         np.linalg.norm(system.matrix, np.inf) * np.linalg.norm(phi_vec, np.inf)

@@ -9,6 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .coeffexpr import breaks_of, sample
 from .fracparams import FracParams
 from .jacobi import JacobiParams, as_params, eval_Ghat_table, gauss_jacobi
 
@@ -74,16 +75,6 @@ def _params_close(p: JacobiParams, q: JacobiParams) -> bool:
     return abs(p.a - q.a) <= 1e-12 and abs(p.b - q.b) <= 1e-12
 
 
-def _sample(f, nodes: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(nodes), dtype=float)
-    except (TypeError, ValueError):
-        vals = np.array([float(f(x)) for x in nodes])
-    if vals.shape != nodes.shape:
-        vals = np.broadcast_to(vals, nodes.shape).astype(float)
-    return vals
-
-
 def project(f, p, N: int, quad_points: int) -> CoeffVec:
     """Weighted-L2 orthogonal projection of f onto degrees 0..N.
 
@@ -97,19 +88,15 @@ def project(f, p, N: int, quad_points: int) -> CoeffVec:
         raise ValueError(
             f"project: need quad_points >= N+1, got {quad_points} for N={N}"
         )
-    breaks = []
-    bp = getattr(f, "breakpoints", None)
-    if callable(bp):
-        breaks = [b for b in bp() if 0.0 < b < 1.0]
+    breaks = breaks_of(f)
     if breaks:
         from .assembly import composite_rule
 
         rule = composite_rule(p, quad_points, breaks)
     else:
         rule = gauss_jacobi(p, quad_points)
-    fv = _sample(f, rule.nodes)
     V = eval_Ghat_table(p, N, rule.nodes)
-    return CoeffVec(p, V.T @ (rule.weights * fv))
+    return CoeffVec(p, V.T @ (rule.weights * sample(f, rule.nodes)))
 
 
 def sobolev_norm(v: CoeffVec, s: float) -> float:

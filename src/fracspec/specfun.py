@@ -1,26 +1,12 @@
-"""Scalar special functions: gamma, log-gamma, and the Euler beta integral.
+"""Scalar special functions: log-gamma and the Euler beta integral.
 
-These underpin the Jacobi norm formula, the eigen-coefficients mu_k and
-sigma_k, and quadrature moments.  All Gamma-ratios elsewhere in the package
+These underpin the Jacobi norm formula, the eigen-coefficients mu_k, and
+quadrature moments.  All Gamma-ratios elsewhere in the package
 go through log space so that ratios like Gamma(k+alpha)/Gamma(k+1) never
 form large intermediates.
 """
 
 import math
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive real x.
-
-    For x > 10 the value is formed as exp(log_gamma(x)) so that callers
-    composing ratios stay clear of overflow territory.  Relative error is
-    at the 1e-15 level on [0.1, 60], well inside the 1e-13 contract.
-    """
-    if x <= 0:
-        raise ValueError(f"gamma: argument must be positive, got {x}")
-    if x > 10:
-        return math.exp(math.lgamma(x))
-    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:

@@ -24,17 +24,11 @@ import pytest
 from fracspec.assembly import ProblemSpec, assemble_system, composite_rule
 from fracspec.coeffexpr import EvalError, ParseError, parse
 from fracspec.experiments import observed_rate, run_comparison, run_convergence
-from fracspec.fracparams import beta_to_r, predicted_rates, solve_beta
-from fracspec.jacobi import (
-    JacobiParams,
-    deriv_G,
-    eval_G,
-    eval_Ghat_table,
-    gauss_jacobi,
-    weighted_deriv_identity_check,
-)
+from fracspec.fracparams import predicted_rates, solve_beta
+from fracspec.jacobi import JacobiParams, eval_Ghat_table, gauss_jacobi
 from fracspec.solver import solve
-from fracspec.specfun import beta as beta_fn, gamma
+from fracspec.specfun import beta as beta_fn
+from reference_math import beta_to_r, deriv_G, eval_G, gamma, weighted_deriv_identity_check
 
 # reference L2-error columns for the two benchmark configurations at
 # N = 8, 10, 12, 14, 16 (error convention unstated, see the module docstring)

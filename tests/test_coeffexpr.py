@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracspec import EvalError, ParseError, breakpoints, parse, pretty
+from fracspec.coeffexpr import breaks_of, sample
 
 
 def test_basic_arithmetic():
@@ -126,6 +129,34 @@ def test_eval_domain_errors():
         parse("1 + log(-x)").eval(0.5)
     # the message names the failing subexpression, not the whole input
     assert "log" in str(err.value)
+
+
+def test_sample_raises_eval_error_without_pointwise_retry():
+    # a domain error is the coefficient's own failure: sampling must not
+    # evaluate it again point by point before raising it
+    inner = parse("log(0.95-x)")
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return inner(x)
+
+    with pytest.raises(EvalError):
+        sample(counted, np.linspace(0.0, 0.99, 50))
+    assert calls == [50]
+
+
+def test_sample_scalar_only_callables_and_constants():
+    xs = np.linspace(0.0, 1.0, 5)
+    assert np.array_equal(sample(math.exp, xs), [math.exp(x) for x in xs])
+    assert np.array_equal(sample(lambda x: 2.0, xs), np.full(5, 2.0))
+    assert np.array_equal(sample(parse("piecewise(0.5; 2; 1)"), xs), [2, 2, 1, 1, 1])
+
+
+def test_breaks_of():
+    assert breaks_of(parse("piecewise(0.5; 2; 1)")) == [0.5]
+    assert breaks_of(parse("exp(x)")) == []
+    assert breaks_of(np.exp) == []
 
 
 def test_vectorized_matches_scalar():

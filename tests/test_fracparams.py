@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from fracspec import (
     FracParams,
-    beta_to_r,
     mu,
     predicted_rates,
-    sigma,
     solve_beta,
 )
+from reference_math import beta_to_r, sigma
 
 
 def test_symmetric_case_is_exact():

@@ -8,16 +8,13 @@ from scipy.special import eval_jacobi, roots_jacobi
 from fracspec import (
     JacobiParams,
     beta,
-    deriv_G,
-    eval_G,
     eval_G_table,
     eval_Ghat_table,
     gauss_jacobi,
     norm_G,
-    norm_ratio_sq,
     solve_beta,
-    weighted_deriv_identity_check,
 )
+from reference_math import deriv_G, eval_G, norm_ratio_sq, weighted_deriv_identity_check
 
 
 def test_params_validate_exponents():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
@@ -9,7 +10,7 @@ from fracspec.fracparams import solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table
 from fracspec.solver import Solution, solve
 from fracspec.spaces import error_norms
-from fracspec.specfun import gamma
+from reference_math import gamma
 
 
 def _one(x):
@@ -52,6 +53,22 @@ def test_manufactured_single_mode_independent_of_n():
         assert sol.phi.coeffs[m] == pytest.approx(want, rel=1e-10)
         others = np.delete(sol.phi.coeffs, m)
         assert np.max(np.abs(others)) < 1e-12
+
+
+def test_solve_factors_once(monkeypatch):
+    # the solution and the condition estimate share one LU factorization
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counted)
+    fp = solve_beta(1.3, 0.5)
+    solve(ProblemSpec(fp=fp, variant="acute", k=lambda x: 1.0 + 2.0 * x,
+                      b=np.exp, c=lambda x: 5.0 + np.sin(x), f=_one, N=8))
+    assert len(calls) == 1
 
 
 def test_boundary_values_exactly_zero():
