@@ -16,10 +16,8 @@ from .jacobi import (
     JacobiParams,
     QuadratureError,
     QuadratureRule,
-    eval_G_table,
     eval_Ghat_table,
     gauss_jacobi,
-    norm_G,
 )
 from .fracparams import FracParams, mu, predicted_rates, solve_beta
 from .coeffexpr import EvalError, Expr, ParseError, breakpoints, parse, pretty
@@ -62,10 +60,8 @@ __all__ = [
     "JacobiParams",
     "QuadratureError",
     "QuadratureRule",
-    "eval_G_table",
     "eval_Ghat_table",
     "gauss_jacobi",
-    "norm_G",
     "FracParams",
     "mu",
     "predicted_rates",

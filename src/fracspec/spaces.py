@@ -37,8 +37,9 @@ class CoeffVec:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """The trial weight omega = (1-x)^(alpha-beta) x^beta and the test weight
-    omega* with the exponents swapped.  Both vanish at 0 and 1."""
+    """The trial weight omega = (1-x)^(alpha-beta) x^beta, which vanishes at
+    0 and 1, and the trial and test basis exponents (the test family swaps
+    them)."""
 
     fp: FracParams
 
@@ -60,11 +61,6 @@ class WeightSpec:
 
     def omega(self, x):
         a, b = self.fp.alpha - self.fp.beta, self.fp.beta
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x) ** a * x ** b
-
-    def omega_star(self, x):
-        a, b = self.fp.beta, self.fp.alpha - self.fp.beta
         x = np.asarray(x, dtype=float)
         return (1.0 - x) ** a * x ** b
 

@@ -1,6 +1,6 @@
 """Scalar special functions: log-gamma and the Euler beta integral.
 
-These underpin the Jacobi norm formula, the eigen-coefficients mu_k, and
+These underpin the Jacobi weight's total mass, the eigen-coefficients mu_k, and
 quadrature moments.  All Gamma-ratios elsewhere in the package
 go through log space so that ratios like Gamma(k+alpha)/Gamma(k+1) never
 form large intermediates.

@@ -1,16 +1,19 @@
 """Closed forms and identity checks that the tests hold the package to.
 
 The package itself never calls these: they are the independent side of a
-comparison (Jacobi values and derivatives, the Gamma function, the inverse
-map beta -> r and the sigma_k sequence), so they live next to the tests.
+comparison (classical Jacobi values, norms and derivatives, the Gamma
+function, the test weight omega*, the inverse map beta -> r and the
+sigma_k sequence), so they live next to the tests.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from fracspec.fracparams import FracParams, _denominator
-from fracspec.jacobi import JacobiParams, as_params, eval_G_table
+from fracspec.jacobi import JacobiParams, as_params
 from fracspec.specfun import log_gamma
 
 
@@ -26,6 +29,63 @@ def gamma(x: float) -> float:
     if x > 10:
         return math.exp(math.lgamma(x))
     return math.gamma(x)
+
+
+def _recurrence_step(m: int, a: float, b: float):
+    # coefficients of P_{m+1} = ((a2 + a3 t) P_m - a4 P_{m-1}) / a1, m >= 1
+    s = a + b
+    a1 = 2.0 * (m + 1) * (m + s + 1) * (2 * m + s)
+    a2 = (2 * m + s + 1) * (a * a - b * b)
+    a3 = (2 * m + s) * (2 * m + s + 1) * (2 * m + s + 2)
+    a4 = 2.0 * (m + a) * (m + b) * (2 * m + s + 2)
+    return a1, a2, a3, a4
+
+
+def eval_G_table(p, N: int, x) -> np.ndarray:
+    """Values G_n^{(a,b)}(x) for all n = 0..N.
+
+    Parameters
+    ----------
+    p : JacobiParams or (a, b) pair
+    N : highest degree
+    x : array of points in [0, 1]
+
+    Returns
+    -------
+    ndarray of shape (len(x), N+1), column n holding G_n at the points.
+    """
+    p = as_params(p)
+    a, b = p.a, p.b
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    t = 2.0 * x - 1.0
+    V = np.ones((x.size, N + 1))
+    if N >= 1:
+        V[:, 1] = 0.5 * ((a + b + 2.0) * t + a - b)
+    for m in range(1, N):
+        a1, a2, a3, a4 = _recurrence_step(m, a, b)
+        V[:, m + 1] = ((a2 + a3 * t) * V[:, m] - a4 * V[:, m - 1]) / a1
+    return V
+
+
+def norm_G(p, j: int) -> float:
+    """Weighted L2 norm ||G_j^{(a,b)}|| over omega^{(a,b)} on (0,1).
+
+    Log-space evaluation of
+    sqrt( Gamma(j+a+1) Gamma(j+b+1) / ((2j+a+b+1) Gamma(j+1) Gamma(j+a+b+1)) );
+    symmetric under (a, b) -> (b, a).
+    """
+    p = as_params(p)
+    a, b = p.a, p.b
+    if j < 0:
+        raise ValueError(f"norm_G: degree must be nonnegative, got {j}")
+    ln = 0.5 * (
+        log_gamma(j + a + 1)
+        + log_gamma(j + b + 1)
+        - log_gamma(j + 1.0)
+        - log_gamma(j + a + b + 1)
+        - math.log(2 * j + a + b + 1)
+    )
+    return math.exp(ln)
 
 
 def eval_G(p, n: int, x: float) -> float:
@@ -114,3 +174,11 @@ def sigma(fp: FracParams, k: int) -> float:
     if k < 0:
         raise ValueError(f"sigma: index must be nonnegative, got {k}")
     return -fp.c_star_star * math.exp(log_gamma(k + fp.alpha - 1.0) - log_gamma(k + 1.0))
+
+
+def omega_star(fp: FracParams, x):
+    """The test weight omega* = (1-x)^beta x^(alpha-beta): the trial weight
+    with its exponents swapped."""
+    a, b = fp.beta, fp.alpha - fp.beta
+    x = np.asarray(x, dtype=float)
+    return (1.0 - x) ** a * x ** b

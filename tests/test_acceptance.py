@@ -19,7 +19,6 @@ are pinned in tests/test_experiments.py.
 """
 
 import numpy as np
-import pytest
 
 from fracspec.assembly import ProblemSpec, assemble_system, composite_rule
 from fracspec.coeffexpr import EvalError, ParseError, parse

@@ -18,9 +18,9 @@ from fracspec.assembly import (
 )
 from fracspec.coeffexpr import parse
 from fracspec.fracparams import mu, solve_beta
-from fracspec.jacobi import JacobiParams, eval_Ghat_table, gauss_jacobi, norm_G
+from fracspec.jacobi import JacobiParams, eval_Ghat_table, gauss_jacobi
 from fracspec.specfun import beta as beta_fn
-from reference_math import gamma
+from reference_math import gamma, norm_G
 
 
 def _one(x):

@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
-from fracspec import (
-    JacobiParams,
-    beta,
+from fracspec import JacobiParams, beta, eval_Ghat_table, gauss_jacobi, solve_beta
+from reference_math import (
+    deriv_G,
+    eval_G,
     eval_G_table,
-    eval_Ghat_table,
-    gauss_jacobi,
     norm_G,
-    solve_beta,
+    norm_ratio_sq,
+    weighted_deriv_identity_check,
 )
-from reference_math import deriv_G, eval_G, norm_ratio_sq, weighted_deriv_identity_check
 
 
 def test_params_validate_exponents():
@@ -76,6 +75,26 @@ def test_orthonormal_table():
     V = eval_Ghat_table((0.55, 0.95), 10, rule.nodes)
     G = (V * rule.weights[:, None]).T @ V
     assert np.max(np.abs(G - np.eye(11))) < 1e-12
+
+
+def test_orthonormal_table_at_exponent_sum_minus_one():
+    # a + b = -1: the classical norm formula would take log_gamma(0) at j = 0
+    rule = gauss_jacobi((-0.3, -0.7), 40)
+    V = eval_Ghat_table((-0.3, -0.7), 12, rule.nodes)
+    G = (V * rule.weights[:, None]).T @ V
+    assert np.max(np.abs(G - np.eye(13))) < 1e-13
+
+
+def test_orthonormal_table_matches_classical_oracle():
+    x = np.linspace(0.0, 1.0, 101)
+    for (a, b) in _solver_rule_exponents():
+        if a + b <= -1.0:
+            continue  # norm_G is undefined there
+        for N in (0, 1, 12, 40, 84):
+            want = eval_G_table((a, b), N, x) / [norm_G((a, b), j) for j in range(N + 1)]
+            got = eval_Ghat_table((a, b), N, x)
+            assert got.shape == (x.size, N + 1)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(want), axis=0))
 
 
 def test_norm_ratio_sq():
@@ -211,6 +230,15 @@ def test_gauss_jacobi_solver_exponents_against_library_oracle():
             assert np.all(rule.weights > 0)
             assert 0 < rule.nodes[0] and rule.nodes[-1] < 1
             assert np.all(np.diff(rule.nodes) > 0)
+
+
+@pytest.mark.parametrize("a, b, tol", [(0.0, -0.999, 1e-12), (-0.999, 0.0, 1e-11)])
+def test_gauss_jacobi_weight_sum_exponent_near_minus_one(a, b, tol):
+    # the largest weight sits within 5e-8 of the singular endpoint, where it
+    # is most sensitive to the rounding of its node
+    rule = gauss_jacobi((a, b), 148)
+    total = beta(a + 1, b + 1)
+    assert abs(rule.weights.sum() - total) <= tol * total
 
 
 def test_gauss_jacobi_contract_sizes():
