@@ -37,6 +37,7 @@ from .assembly import (
     assemble_B1,
     assemble_B2,
     assemble_rhs,
+    assemble_shared,
     assemble_system,
     composite_rule,
     k_floor,
@@ -85,6 +86,7 @@ __all__ = [
     "assemble_B1",
     "assemble_B2",
     "assemble_rhs",
+    "assemble_shared",
     "assemble_system",
     "composite_rule",
     "k_floor",

@@ -79,10 +79,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class DiscreteSystem:
-    """Dense system: matrix entry (j, i) pairs trial i against test j."""
+    """Dense system: matrix entry (j, i) pairs trial i against test j.
+
+    k_nodes and k_values are the nodes of B0's rule and the diffusivity
+    sampled on them, which k_floor reads; None for a system built by hand.
+    """
 
     matrix: np.ndarray
     rhs: np.ndarray
+    k_nodes: Optional[np.ndarray] = None
+    k_values: Optional[np.ndarray] = None
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=float)
@@ -95,6 +101,23 @@ class DiscreteSystem:
             raise ValueError("DiscreteSystem: entries must be finite")
         object.__setattr__(self, "matrix", A)
         object.__setattr__(self, "rhs", r)
+
+    def leading(self, N: int) -> "DiscreteSystem":
+        """The degree-N system at the same quadrature: the leading
+        (N+1)x(N+1) block and rhs[:N+1].
+
+        Entry (j, i) integrates test j against trial i on rules that depend
+        only on q, so assembling at degree N with the same q gives this
+        block again.
+        """
+        if not 1 <= N < len(self.rhs):
+            raise ValueError(
+                f"DiscreteSystem: degree {N} must lie in 1..{len(self.rhs) - 1}"
+            )
+        n = N + 1
+        return DiscreteSystem(
+            self.matrix[:n, :n], self.rhs[:n], self.k_nodes, self.k_values
+        )
 
 
 def composite_rule(p, n: int, breaks) -> QuadratureRule:
@@ -152,11 +175,13 @@ def _rule_for(
     return rule, sample(fn, rule.nodes)
 
 
-def k_floor(spec: ProblemSpec) -> tuple[float, float]:
-    """Minimum of k over the assembly quadrature grid and where it occurs."""
-    rule, kv = _rule_for(spec, _b0_params(spec), spec.k)
-    idx = int(np.argmin(kv))
-    return float(kv[idx]), float(rule.nodes[idx])
+def k_floor(system: DiscreteSystem) -> tuple[float, float]:
+    """Minimum of k over the assembly quadrature grid and where it occurs,
+    read from the samples B0 was assembled from."""
+    if system.k_values is None:
+        raise ValueError("k_floor: the system carries no diffusivity samples")
+    idx = int(np.argmin(system.k_values))
+    return float(system.k_values[idx]), float(system.k_nodes[idx])
 
 
 def _b0_params(spec: ProblemSpec) -> JacobiParams:
@@ -172,17 +197,20 @@ def _norm_ratios(fp: FracParams, N: int) -> np.ndarray:
     return np.sqrt((m + fp.alpha) / (m + 1.0))
 
 
-def assemble_B0(spec: ProblemSpec) -> np.ndarray:
+def assemble_B0(
+    spec: ProblemSpec, k_sampled: Optional[tuple[QuadratureRule, np.ndarray]] = None
+) -> np.ndarray:
     """Fractional-diffusion block.
 
     Both variants reduce to one weighted integral of k times two
     degree-shifted orthonormal polynomials; for constant k orthonormality
     collapses the matrix to the positive diagonal k |c**| Gamma(i+alpha+1) /
-    Gamma(i+1).
+    Gamma(i+1).  k_sampled is B0's rule with k sampled on its nodes, when
+    the caller has already built it (assemble_system keeps the samples).
     """
     fp, N = spec.fp, spec.N
     p0 = _b0_params(spec)
-    rule, kv = _rule_for(spec, p0, spec.k)
+    rule, kv = k_sampled if k_sampled is not None else _rule_for(spec, p0, spec.k)
     kmin_idx = int(np.argmin(kv))
     if kv[kmin_idx] <= 0.0:
         raise AssemblyError(
@@ -235,7 +263,25 @@ def assemble_rhs(spec: ProblemSpec) -> np.ndarray:
     return test.T @ (rule.weights * fv)
 
 
-def assemble_system(spec: ProblemSpec) -> DiscreteSystem:
-    """Full matrix B0 + B1 + B2 and load vector for the given variant."""
-    A = assemble_B0(spec) + assemble_B1(spec) + assemble_B2(spec)
-    return DiscreteSystem(A, assemble_rhs(spec))
+def assemble_shared(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B1, B2 and the load vector: the blocks that depend on neither k nor
+    the variant, only on (fp, b, c, f, N, q)."""
+    return assemble_B1(spec), assemble_B2(spec), assemble_rhs(spec)
+
+
+def assemble_system(
+    spec: ProblemSpec,
+    shared: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+) -> DiscreteSystem:
+    """Full matrix B0 + B1 + B2 and load vector for the given variant.
+
+    shared is assemble_shared of a spec that differs from this one at most
+    in k and the variant, so that several diffusivities or both variants
+    assemble those blocks once; None assembles them here.
+    """
+    k_sampled = _rule_for(spec, _b0_params(spec), spec.k)
+    B0 = assemble_B0(spec, k_sampled)
+    B1, B2, rhs = assemble_shared(spec) if shared is None else shared
+    # summed as (B0 + B1) + B2 whether or not the blocks are shared, so a
+    # shared solve rounds exactly as a fresh one
+    return DiscreteSystem(B0 + B1 + B2, rhs, k_sampled[0].nodes, k_sampled[1])

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assembly import ProblemSpec, assemble_rhs
+from .assembly import ProblemSpec, assemble_system
 from .coeffexpr import ParseError, parse
 from .experiments import coeff_is_zero, run_comparison, run_convergence
 from .fracparams import predicted_rates, solve_beta
@@ -269,8 +269,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     os.makedirs(cfg.output, exist_ok=True)
     _echo_config(cfg, "solve")
 
-    sol = solve(spec)
-    rhs0 = float(assemble_rhs(spec)[0])
+    system = assemble_system(spec)
+    sol = solve(spec, system)
+    rhs0 = float(system.rhs[0])
     pred = predicted_rates(fp, coeff_is_zero(exprs["b"]), math.inf, cfg.variant)
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
     _write_csv(os.path.join(cfg.output, "solution.csv"), "x,u", [xs, sol.u(xs)])

@@ -180,6 +180,11 @@ class Call(Expr):
 
     def _collect_breaks(self, out):
         self.arg._collect_breaks(out)
+        if self.name == "abs":
+            # abs(c0 + c1 x) has its kink where the argument changes sign
+            line = _affine(self.arg)
+            if line is not None and line[1] != 0.0:
+                out.add(-line[0] / line[1])
 
     def _fmt(self, ctx):
         return f"{self.name}({self.arg._fmt(0)})"
@@ -396,6 +401,35 @@ def _has_var(e: Expr) -> bool:
     if isinstance(e, Piecewise):
         return _has_var(e.left) or _has_var(e.right)
     return False
+
+
+def _affine(e: Expr):
+    """(c0, c1) with e(x) = c0 + c1 x when e is built from numbers, x,
+    negation, + and -, and * or / by a constant; None otherwise."""
+    if isinstance(e, Num):
+        return e.value, 0.0
+    if isinstance(e, Var):
+        return 0.0, 1.0
+    if isinstance(e, Neg):
+        inner = _affine(e.child)
+        return None if inner is None else (-inner[0], -inner[1])
+    if not isinstance(e, BinOp) or e.op == "^":
+        return None
+    left, right = _affine(e.left), _affine(e.right)
+    if left is None or right is None:
+        return None
+    (a0, a1), (b0, b1) = left, right
+    if e.op == "+":
+        return a0 + b0, a1 + b1
+    if e.op == "-":
+        return a0 - b0, a1 - b1
+    if e.op == "*" and a1 == 0.0:
+        return a0 * b0, a0 * b1
+    if e.op == "*" and b1 == 0.0:
+        return a0 * b0, a1 * b0
+    if e.op == "/" and b1 == 0.0 and b0 != 0.0:
+        return a0 / b0, a1 / b0
+    return None
 
 
 def parse(src: str) -> Expr:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .assembly import ProblemSpec
+from .assembly import ProblemSpec, assemble_shared, assemble_system
 from .coeffexpr import breaks_of, sample
 from .fracparams import FracParams, predicted_rates
 from .solver import solve
@@ -59,18 +59,16 @@ def coeff_is_zero(fn) -> bool:
     return bool(np.max(np.abs(sample(fn, xs))) == 0.0)
 
 
-def _with_degree(spec: ProblemSpec, N: int) -> ProblemSpec:
-    q = spec.quad_points
-    if q is not None:
-        q = max(q, N + 20)
-    return replace(spec, N=N, quad_points=q)
-
-
 def run_convergence(
     spec_base: ProblemSpec, Ns: Sequence[int], N_ref: int = 40
 ) -> ConvergenceReport:
     """Solve once at the reference degree N_ref, then at each N, reporting
-    errors of the expansion against the reference and the log-ratio rates."""
+    errors of the expansion against the reference and the log-ratio rates.
+
+    Every degree shares the reference's quadrature size q = max(quad_points,
+    N_ref + 20), so the system is assembled once, at N_ref, and degree N
+    solves its leading (N+1)x(N+1) block.
+    """
     Ns = [int(n) for n in Ns]
     if not Ns:
         raise ValueError("run_convergence: need at least one degree")
@@ -80,14 +78,17 @@ def run_convergence(
         raise ValueError(
             f"run_convergence: max degree {max(Ns)} must stay below N_ref={N_ref}"
         )
+    q = max(spec_base.quad_points or 0, N_ref + 20)
+    spec_ref = replace(spec_base, N=N_ref, quad_points=q)
     try:
-        phi_ref = solve(_with_degree(spec_base, N_ref)).phi
+        system = assemble_system(spec_ref)
+        phi_ref = solve(spec_ref, system).phi
     except Exception as exc:
         raise RuntimeError(f"convergence run failed at N={N_ref}: {exc}") from exc
     errs = []
     for N in Ns:
         try:
-            sol = solve(_with_degree(spec_base, N))
+            sol = solve(replace(spec_base, N=N, quad_points=q), system.leading(N))
         except Exception as exc:
             raise RuntimeError(f"convergence run failed at N={N}: {exc}") from exc
         errs.append(error_norms(phi_ref, sol.phi, [0.0, 1.0]))
@@ -121,15 +122,20 @@ def run_comparison(
     quad_points: Optional[int] = None,
 ) -> list[ComparisonReport]:
     """Solve both operator variants for each diffusivity in k_variants and
-    sample them on a uniform grid; one report per diffusivity, input order."""
+    sample them on a uniform grid; one report per diffusivity, input order.
+    B1, B2 and the load vector depend on neither k nor the variant, so they
+    are assembled once and only B0 is assembled per solve."""
     if grid_points < 2:
         raise ValueError(f"run_comparison: need at least 2 grid points, got {grid_points}")
     xs = np.linspace(0.0, 1.0, grid_points)
     reports = []
+    shared = None
     for k in k_variants:
         spec_a = ProblemSpec(fp, "acute", k, b, c, f, N, quad_points)
         spec_g = ProblemSpec(fp, "grave", k, b, c, f, N, quad_points)
-        ua = solve(spec_a).u(xs)
-        ug = solve(spec_g).u(xs)
+        if shared is None:
+            shared = assemble_shared(spec_a)
+        ua = solve(spec_a, assemble_system(spec_a, shared)).u(xs)
+        ug = solve(spec_g, assemble_system(spec_g, shared)).u(xs)
         reports.append(ComparisonReport(xs, ua, ug, spec_a, spec_g))
     return reports

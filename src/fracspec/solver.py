@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .assembly import ProblemSpec, assemble_system, k_floor
+from .assembly import DiscreteSystem, ProblemSpec, assemble_system, k_floor
 from .fracparams import FracParams
 from .linsolve import condition_estimate, factor, lu_solve
 from .spaces import CoeffVec, WeightSpec, eval_solution
@@ -28,10 +29,20 @@ class Solution:
         return eval_solution(self.phi, WeightSpec(self.fp), x)
 
 
-def solve(spec: ProblemSpec) -> Solution:
-    """Assemble and solve the Petrov-Galerkin system for the given variant."""
-    system = assemble_system(spec)
-    k_min, k_at = k_floor(spec)
+def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solution:
+    """Assemble and solve the Petrov-Galerkin system for the given variant.
+
+    system is spec's system when the caller has assembled it already, such
+    as assemble_system(spec, shared) or the leading block of a higher-degree
+    system at the same quadrature; it is solved as given.
+    """
+    if system is None:
+        system = assemble_system(spec)
+    elif system.rhs.shape != (spec.N + 1,):
+        raise ValueError(
+            f"solve: system of order {system.rhs.shape[0]} does not match N = {spec.N}"
+        )
+    k_min, k_at = k_floor(system)
     factors = factor(system.matrix)
     phi_vec, pivot_growth = lu_solve(factors, system.rhs)
     cond = condition_estimate(factors)

@@ -12,6 +12,7 @@ from fracspec.assembly import (
     assemble_B1,
     assemble_B2,
     assemble_rhs,
+    assemble_shared,
     assemble_system,
     composite_rule,
     k_floor,
@@ -190,7 +191,7 @@ def test_b0_rejects_nonpositive_k():
 
 def test_k_floor_finds_interior_minimum():
     spec = _spec(N=20, k=lambda x: 0.2 + (x - 0.3) ** 2)
-    val, loc = k_floor(spec)
+    val, loc = k_floor(assemble_system(spec))
     assert 0.2 <= val < 0.205
     assert abs(loc - 0.3) < 0.06
 
@@ -308,6 +309,40 @@ def test_assemble_system_sums_blocks():
     assert np.array_equal(sys.matrix, manual)
     assert np.array_equal(sys.rhs, assemble_rhs(spec))
     assert sys.matrix.shape == (8, 8)
+
+
+@pytest.mark.parametrize("variant", ["acute", "grave"])
+def test_lower_degree_is_the_leading_block(variant):
+    # run_convergence solves every degree of a sweep from one assembly at
+    # N_ref: at a fixed q the degree-N system is its leading block.  The
+    # entries are the same sums, but BLAS may block a product differently
+    # at another size, so they agree to rounding rather than bit for bit
+    kw = dict(alpha=1.3, r=0.5, variant=variant, k=parse("1+2*x"),
+              b=np.exp, c=lambda x: 5.0 + np.sin(x), f=_one, quad_points=60)
+    ref = assemble_system(_spec(N=40, **kw))
+    for N in (1, 8, 16, 39):
+        block = ref.leading(N)
+        own = assemble_system(_spec(N=N, **kw))
+        assert np.max(np.abs(block.matrix - own.matrix)) <= 1e-15 * np.max(np.abs(own.matrix))
+        assert np.max(np.abs(block.rhs - own.rhs)) <= 1e-15 * np.max(np.abs(own.rhs))
+        assert k_floor(block) == k_floor(own)
+    assert np.array_equal(ref.leading(40).matrix, ref.matrix)
+    for N in (0, 41):
+        with pytest.raises(ValueError, match="degree"):
+            ref.leading(N)
+
+
+def test_shared_blocks_sum_like_a_fresh_assembly():
+    # a compare reuses B1, B2 and rhs across diffusivities and variants; the
+    # sum must round exactly as assemble_system's own
+    kw = dict(b=np.sin, c=lambda x: 1.0 + x, f=np.cos, N=7)
+    shared = assemble_shared(_spec(k=_one, **kw))
+    for variant in ("acute", "grave"):
+        spec = _spec(variant=variant, k=parse("piecewise(0.4; 1; 3)"), **kw)
+        fresh = assemble_system(spec)
+        reused = assemble_system(spec, shared)
+        assert np.array_equal(reused.matrix, fresh.matrix)
+        assert np.array_equal(reused.rhs, fresh.rhs)
 
 
 def test_quadrature_refinement_converged_for_polynomial_data():

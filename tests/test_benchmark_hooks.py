@@ -1,5 +1,6 @@
 """The benchmark tracer (perfbench/tracing.py) still finds every function it
-wraps, and a traced solve shows the layers it times.
+wraps, and traced runs of the benchmark's entry points show the layers it
+times.
 
 The tracer patches fracspec functions in the namespaces where their callers
 bind them, so a rename or a call that stops going through one of those
@@ -9,6 +10,7 @@ in the ordinary suite.  It only reads perfbench/.
 
 from pathlib import Path
 
+import fracspec.experiments
 import fracspec.solver
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
@@ -16,29 +18,76 @@ from fracspec.fracparams import solve_beta
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+CASE_A = {"k": "1+2*x", "b": "exp(x)", "c": "5+sin(x)", "f": "1"}
 
-def test_traced_case_a_solve(monkeypatch):
+# the layers a solve goes through, each of which the benchmark reports as a
+# per-layer time on the workloads that solve
+SOLVE_LAYERS = (
+    "solver.solve",
+    "assembly.k_floor",
+    "assembly.assemble_B0",
+    "assembly.assemble_B1",
+    "assembly.assemble_B2",
+    "assembly.assemble_rhs",
+    "linsolve.lu_solve",
+    "linsolve.condition_estimate",
+)
+
+
+def _traced(monkeypatch, run):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracing import Tracer
 
     tracer = Tracer()  # LookupError names any wrapped function that is gone
-    exprs = {"k": "1+2*x", "b": "exp(x)", "c": "5+sin(x)", "f": "1"}
-    spec = ProblemSpec(
-        fp=solve_beta(1.3, 0.5),
-        variant="acute",
-        N=8,
-        **{key: parse(src) for key, src in exprs.items()},
-    )
     tracer.install()
     try:
         tracer.begin(0)
-        fracspec.solver.solve(spec)
+        run()
         tracer.end()
     finally:
         tracer.uninstall()
-    # B0, B1, B2 and rhs build one rule each, and k_floor rebuilds B0's
-    assert tracer.counts["jacobi.gauss_jacobi.calls"] == 5
+    return tracer
+
+
+def _case_a_spec(N):
+    return ProblemSpec(
+        fp=solve_beta(1.3, 0.5),
+        variant="acute",
+        N=N,
+        **{key: parse(src) for key, src in CASE_A.items()},
+    )
+
+
+def test_traced_case_a_solve(monkeypatch):
+    tracer = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
+    # B0, B1, B2 and rhs build one rule each; k_floor reads B0's samples
+    assert tracer.counts["jacobi.gauss_jacobi.calls"] == 4
     assert tracer.counts["linsolve.factorizations"] == 1
     layers = {span[0] for span in tracer.spans}
-    for layer in ("assembly.k_floor", "linsolve.lu_solve", "linsolve.condition_estimate"):
-        assert layer in layers
+    assert layers >= set(SOLVE_LAYERS)
+
+
+def test_traced_convergence_sweep(monkeypatch):
+    tracer = _traced(
+        monkeypatch,
+        lambda: fracspec.experiments.run_convergence(_case_a_spec(8), [8, 10], 12),
+    )
+    layers = {span[0] for span in tracer.spans}
+    assert layers >= set(SOLVE_LAYERS)
+    # one factorization for the reference and one per degree
+    assert tracer.counts["linsolve.factorizations"] == 3
+
+
+def test_traced_two_diffusivity_comparison(monkeypatch):
+    exprs = {key: parse(src) for key, src in CASE_A.items()}
+    ks = [parse("piecewise(0.5; 1; 10)"), exprs["k"]]
+    tracer = _traced(
+        monkeypatch,
+        lambda: fracspec.experiments.run_comparison(
+            solve_beta(1.3, 0.5), ks, exprs["b"], exprs["c"], exprs["f"],
+            N=12, grid_points=11,
+        ),
+    )
+    layers = {span[0] for span in tracer.spans}
+    assert layers >= set(SOLVE_LAYERS) | {"spaces.eval_solution"}
+    assert tracer.counts["linsolve.factorizations"] == 4

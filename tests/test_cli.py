@@ -81,6 +81,30 @@ def test_solve_is_deterministic(tmp_path):
     )
 
 
+# summary.txt of the config below, written when the load vector was still
+# assembled a second time after the solve; rhs[0] now comes from the solved
+# system and the bytes must not move
+CASE_A_N8_SUMMARY = b"""variant = acute
+alpha = 1.3
+r = 0.5
+beta = 0.65
+c_star_star = -0.45399
+predicted rate (L2) = 2.25
+predicted rate (H1) = 1.25
+rhs[0] = 0.549482
+k_min = 1.00213 at x = 0.00106515
+condition estimate = 16.0556
+residual = 1.72594e-17
+pivot growth = 0.898347
+"""
+
+
+def test_solve_summary_bytes_frozen(tmp_path):
+    cfg = _base(tmp_path, N=8, grid_points=21)
+    assert main(["solve", "--config", cfg]) == 0
+    assert _read(tmp_path / "out" / "summary.txt") == CASE_A_N8_SUMMARY
+
+
 def test_out_flag_overrides_output(tmp_path):
     cfg = _base(tmp_path, N=6, grid_points=11)
     override = tmp_path / "elsewhere"

@@ -159,6 +159,18 @@ def test_breaks_of():
     assert breaks_of(np.exp) == []
 
 
+def test_abs_of_affine_argument_reports_its_kink():
+    assert breaks_of(parse("1+abs(x-0.37)")) == [0.37]
+    assert breaks_of(parse("abs((0.5-x)/2)*3")) == [0.5]
+    assert breaks_of(parse("abs(-2*x+0.5)")) == [0.25]
+    # the kink of a non-affine argument cannot be located structurally
+    assert breaks_of(parse("abs(x^2-0.2)")) == []
+    assert breaks_of(parse("abs(x*x-0.2)")) == []
+    # a kink at an endpoint or outside (0,1) needs no split
+    assert breaks_of(parse("abs(x)")) == []
+    assert breaks_of(parse("abs(x-2)")) == []
+
+
 def test_vectorized_matches_scalar():
     e = parse("piecewise(0.5; 2; 1) + sin(x)^2/(1+x)")
     xs = np.linspace(0.0, 1.0, 37)

@@ -1,10 +1,13 @@
 """Convergence tables, rate arithmetic, and the model-comparison runs."""
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import fracspec.assembly
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
 from fracspec.experiments import (
@@ -131,6 +134,27 @@ def test_run_convergence_names_failing_degree():
         run_convergence(bad, [6, 8], N_ref=12)
 
 
+def _count_calls(monkeypatch, module, names, counts):
+    for name in names:
+        fn = getattr(module, name)
+
+        def counted(*args, fn=fn, name=name, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_sweep_assembles_once(monkeypatch):
+    # one assembly at N_ref builds one rule per block; each degree factors
+    # its leading block, and the reference its whole system, once
+    counts = Counter()
+    _count_calls(monkeypatch, fracspec.assembly, ["gauss_jacobi"], counts)
+    _count_calls(monkeypatch, scipy.linalg, ["lu_factor"], counts)
+    run_convergence(_case_a(), [8, 10, 12, 14, 16], N_ref=40)
+    assert counts == {"gauss_jacobi": 4, "lu_factor": 6}
+
+
 def test_case_a_rates_land_in_band():
     # abbreviated version of the benchmark study: the L2 rate between
     # consecutive degrees should already sit near 2 at these resolutions
@@ -184,6 +208,19 @@ def test_run_comparison_reports_per_diffusivity():
     # swapping the jump direction genuinely moves both solution curves
     assert np.max(np.abs(reps[0].u_acute - reps[1].u_acute)) > 1e-3
     assert np.max(np.abs(reps[0].u_grave - reps[1].u_grave)) > 1e-3
+
+
+def test_run_comparison_shares_k_free_blocks(monkeypatch):
+    # B1, B2 and rhs depend on neither k nor the variant: once per call,
+    # while B0 is assembled for each of the four solves
+    counts = Counter()
+    blocks = ["assemble_B0", "assemble_B1", "assemble_B2", "assemble_rhs"]
+    _count_calls(monkeypatch, fracspec.assembly, blocks, counts)
+    fp = solve_beta(1.4, 0.4)
+    run_comparison(fp, [parse("piecewise(0.5; 2; 1)"), parse("1+x")], b=np.exp,
+                   c=lambda x: 5.0 + np.sin(x), f=_one, N=12, grid_points=11)
+    assert counts == {"assemble_B0": 4, "assemble_B1": 1, "assemble_B2": 1,
+                      "assemble_rhs": 1}
 
 
 def test_run_comparison_constant_k_control():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracspec.assembly import ProblemSpec
+from fracspec.assembly import ProblemSpec, assemble_system
 from fracspec.coeffexpr import parse
 from fracspec.fracparams import solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table
@@ -96,6 +96,20 @@ def test_diagnostics_contents():
     assert d["condition"] >= 1.0
     assert d["residual"] <= 1e-9
     assert 0.0 < d["pivot_growth"] <= 1.0 + 1e-12
+
+
+def test_solve_of_a_given_system():
+    # a system assembled by the caller is solved as given, with the same
+    # answer and diagnostics as a solve that assembles it
+    fp = solve_beta(1.3, 0.5)
+    spec = ProblemSpec(fp=fp, variant="grave", k=lambda x: 1.0 + 2.0 * x,
+                       b=np.exp, c=lambda x: 5.0 + np.sin(x), f=_one, N=12)
+    system = assemble_system(spec)
+    given, fresh = solve(spec, system), solve(spec)
+    assert np.array_equal(given.phi.coeffs, fresh.phi.coeffs)
+    assert given.diagnostics == fresh.diagnostics
+    with pytest.raises(ValueError, match="does not match"):
+        solve(spec, system.leading(10))
 
 
 def test_variants_agree_for_constant_k():
