@@ -284,4 +284,7 @@ def assemble_system(
     B1, B2, rhs = assemble_shared(spec) if shared is None else shared
     # summed as (B0 + B1) + B2 whether or not the blocks are shared, so a
     # shared solve rounds exactly as a fresh one
-    return DiscreteSystem(B0 + B1 + B2, rhs, k_sampled[0].nodes, k_sampled[1])
+    A = B0 + B1 + B2
+    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+        raise AssemblyError("assembled system has non-finite entries (overflow)")
+    return DiscreteSystem(A, rhs, k_sampled[0].nodes, k_sampled[1])

@@ -6,9 +6,11 @@
 
 The JSON config carries the problem parameters and coefficient expressions;
 --out overrides its "output" field.  Exit codes: 0 success, 1 config error,
-2 numerical failure.  CSV output is deterministic: 17 significant digits,
-comma separator, LF line endings.  Every run echoes its fully resolved
-config into the output directory as config.json.
+2 numerical failure (AssemblyError, SingularMatrixError, QuadratureError or
+EvalError); any other exception is a fault of the program and propagates.
+CSV output is deterministic: 17 significant digits, comma separator, LF line
+endings.  Every run echoes its fully resolved config into the output
+directory as config.json.
 """
 
 from __future__ import annotations
@@ -19,19 +21,34 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .assembly import ProblemSpec, assemble_system
-from .coeffexpr import ParseError, parse
+from .assembly import AssemblyError, ProblemSpec, assemble_system
+from .coeffexpr import EvalError, ParseError, parse
 from .experiments import coeff_is_zero, run_comparison, run_convergence
 from .fracparams import predicted_rates, solve_beta
+from .jacobi import QuadratureError
+from .linsolve import SingularMatrixError
 from .solver import solve
 
 
 class ConfigError(Exception):
     pass
+
+
+# failures of the numerics on a well-formed config: exit code 2
+_NUMERICAL = (AssemblyError, SingularMatrixError, QuadratureError, EvalError)
+
+
+def _is_numerical(exc: Exception) -> bool:
+    # run_convergence names the failing degree in a RuntimeError raised from
+    # the original error
+    return isinstance(exc, _NUMERICAL) or (
+        isinstance(exc, RuntimeError) and isinstance(exc.__cause__, _NUMERICAL)
+    )
 
 
 @dataclass
@@ -155,6 +172,7 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
         )
     _require(cfg.grid_points >= 2, "config: grid_points must be at least 2")
     _require(cfg.N_ref >= 1, "config: N_ref must be at least 1")
+    _require(cfg.N is None or cfg.N >= 1, "config: N must be at least 1")
 
     if command in ("solve", "converge"):
         _require(cfg.variant is not None, f"config: '{command}' needs a 'variant'")
@@ -192,12 +210,23 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _write_csv(path: str, header: str, columns):
-    """One line per point of the equal-length columns, each value formatted
-    as _fmt does; one format string per line keeps this cheap at 10^4 rows."""
-    row = ",".join([_NUM] * len(columns))
-    rows = zip(*(np.asarray(col).tolist() for col in columns))
-    _write_text(path, "\n".join([header] + [row % r for r in rows]) + "\n")
+def _format_column(values) -> list:
+    """Each value formatted as _fmt does, all by one % over an n-line format
+    string."""
+    vals = np.asarray(values).tolist()
+    return ("\n".join([_NUM] * len(vals)) % tuple(vals)).split("\n")
+
+
+def _write_csv(path: str, header: str, x_cells: list, columns):
+    """The header, then one line per grid point: its x cell from
+    _format_column, so files on one grid share one formatting of it, then the
+    point's value in each of the equal-length columns, formatted as _fmt
+    does.  The body is one % over an n-line format string and the row-major
+    values."""
+    line = ",".join(["%s"] + [_NUM] * len(columns))
+    cols = [x_cells] + [np.asarray(col).tolist() for col in columns]
+    body = "\n".join([line] * len(x_cells)) % tuple(chain.from_iterable(zip(*cols)))
+    _write_text(path, f"{header}\n{body}\n")
 
 
 def _echo_config(cfg: RunConfig, command: str):
@@ -274,7 +303,9 @@ def cmd_solve(cfg: RunConfig) -> int:
     rhs0 = float(system.rhs[0])
     pred = predicted_rates(fp, coeff_is_zero(exprs["b"]), math.inf, cfg.variant)
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
-    _write_csv(os.path.join(cfg.output, "solution.csv"), "x,u", [xs, sol.u(xs)])
+    _write_csv(
+        os.path.join(cfg.output, "solution.csv"), "x,u", _format_column(xs), [sol.u(xs)]
+    )
 
     d = sol.diagnostics
     summary = "\n".join(
@@ -350,12 +381,15 @@ def cmd_compare(cfg: RunConfig) -> int:
         grid_points=cfg.grid_points,
         quad_points=cfg.quad_points,
     )
+    # every report samples the same grid
+    x_cells = _format_column(reports[0].x)
     for label, rep in zip(labels, reports):
         name = "compare.csv" if label == "k" else f"compare_{label}.csv"
         _write_csv(
             os.path.join(cfg.output, name),
             "x,u_acute,u_grave",
-            [rep.x, rep.u_acute, rep.u_grave],
+            x_cells,
+            [rep.u_acute, rep.u_grave],
         )
     return 0
 
@@ -390,6 +424,8 @@ def main(argv=None) -> int:
         print(f"fracspec: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
+        if not _is_numerical(exc):
+            raise
         print(f"fracspec: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ import numpy as np
 from .assembly import ProblemSpec, assemble_shared, assemble_system
 from .coeffexpr import breaks_of, sample
 from .fracparams import FracParams, predicted_rates
-from .solver import solve
+from .solver import eval_solutions, solve
 from .spaces import error_norms
 
 
@@ -124,18 +124,22 @@ def run_comparison(
     """Solve both operator variants for each diffusivity in k_variants and
     sample them on a uniform grid; one report per diffusivity, input order.
     B1, B2 and the load vector depend on neither k nor the variant, so they
-    are assembled once and only B0 is assembled per solve."""
+    are assembled once and only B0 is assembled per solve.  The trial basis
+    does not depend on them either, so every solution is sampled from one
+    basis table on the grid."""
     if grid_points < 2:
         raise ValueError(f"run_comparison: need at least 2 grid points, got {grid_points}")
     xs = np.linspace(0.0, 1.0, grid_points)
-    reports = []
+    sols = []
     shared = None
     for k in k_variants:
-        spec_a = ProblemSpec(fp, "acute", k, b, c, f, N, quad_points)
-        spec_g = ProblemSpec(fp, "grave", k, b, c, f, N, quad_points)
-        if shared is None:
-            shared = assemble_shared(spec_a)
-        ua = solve(spec_a, assemble_system(spec_a, shared)).u(xs)
-        ug = solve(spec_g, assemble_system(spec_g, shared)).u(xs)
-        reports.append(ComparisonReport(xs, ua, ug, spec_a, spec_g))
-    return reports
+        for variant in ("acute", "grave"):
+            spec = ProblemSpec(fp, variant, k, b, c, f, N, quad_points)
+            if shared is None:
+                shared = assemble_shared(spec)
+            sols.append(solve(spec, assemble_system(spec, shared)))
+    us = eval_solutions(sols, xs)
+    return [
+        ComparisonReport(xs, us[i], us[i + 1], sols[i].spec, sols[i + 1].spec)
+        for i in range(0, len(sols), 2)
+    ]

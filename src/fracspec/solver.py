@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,6 +27,14 @@ class Solution:
     def u(self, x):
         """Pointwise solution u(x) = omega(x) phi(x); zero at both endpoints."""
         return eval_solution(self.phi, WeightSpec(self.fp), x)
+
+
+def eval_solutions(sols: Sequence[Solution], x) -> list:
+    """u(x) of each solution, all from one basis table on x; the solutions
+    must share fp and N.  Each u equals its own Solution.u(x) bit for bit."""
+    if not sols:
+        return []
+    return eval_solution([s.phi for s in sols], WeightSpec(sols[0].fp), x)
 
 
 def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solution:

@@ -103,21 +103,36 @@ def sobolev_norm(v: CoeffVec, s: float) -> float:
     return float(np.sqrt(np.sum((1.0 + j * j) ** s * v.coeffs ** 2)))
 
 
-def eval_solution(phi: CoeffVec, w: WeightSpec, x):
+def eval_solution(phi: CoeffVec | Sequence[CoeffVec], w: WeightSpec, x):
     """u(x) = omega(x) * sum_j phi_j Ghat_j^{(alpha-beta,beta)}(x).
 
-    The weight vanishes at both endpoints, so u(0) = u(1) = 0 exactly.
+    phi may also be a sequence of expansions of one degree, which gives a
+    list with one u per entry from a single basis table and omega on x; each
+    u is its own table-vector product, so it rounds as it would alone.  The
+    weight vanishes at both endpoints, so u(0) = u(1) = 0 exactly.
     """
-    if not _params_close(phi.params, w.trial_params):
+    single = isinstance(phi, CoeffVec)
+    phis = [phi] if single else list(phi)
+    for p in phis:
+        if not _params_close(p.params, w.trial_params):
+            raise ValueError(
+                f"eval_solution: coefficients use basis {p.params}, expected "
+                f"{w.trial_params}"
+            )
+    degree = phis[0].degree
+    if any(p.degree != degree for p in phis):
         raise ValueError(
-            f"eval_solution: coefficients use basis {phi.params}, expected "
-            f"{w.trial_params}"
+            f"eval_solution: expansions must share one degree, got "
+            f"{[p.degree for p in phis]}"
         )
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = eval_Ghat_table(phi.params, phi.degree, xs) @ phi.coeffs
-    u = w.omega(xs) * vals
-    return float(u[0]) if scalar else u
+    V = eval_Ghat_table(phis[0].params, degree, xs)
+    om = w.omega(xs)
+    us = [om * (V @ p.coeffs) for p in phis]
+    if scalar:
+        us = [float(u[0]) for u in us]
+    return us[0] if single else us
 
 
 def error_norms(

@@ -1,12 +1,19 @@
 """Command-line behavior: files, formats, exit codes, determinism."""
 
+import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fracspec.cli import main
+import fracspec.cli
+from fracspec.cli import _format_column, _write_csv, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_config(path, **kw):
@@ -105,6 +112,20 @@ def test_solve_summary_bytes_frozen(tmp_path):
     assert _read(tmp_path / "out" / "summary.txt") == CASE_A_N8_SUMMARY
 
 
+# SHA-256 of solution.csv for the config above, taken before the CSV writer
+# formatted each file in one pass; the bytes must not move
+CASE_A_N8_SOLUTION_SHA256 = (
+    "8973f8eed6015c2813bc014d098d4bd70cf23713456f6062230c55f54076e15f"
+)
+
+
+def test_solve_solution_bytes_frozen(tmp_path):
+    cfg = _base(tmp_path, N=8, grid_points=21)
+    assert main(["solve", "--config", cfg]) == 0
+    raw = _read(tmp_path / "out" / "solution.csv")
+    assert hashlib.sha256(raw).hexdigest() == CASE_A_N8_SOLUTION_SHA256
+
+
 def test_out_flag_overrides_output(tmp_path):
     cfg = _base(tmp_path, N=6, grid_points=11)
     override = tmp_path / "elsewhere"
@@ -154,8 +175,8 @@ def test_converge_single_degree(tmp_path):
 # ------------------------------------------------------------------ compare
 
 
-def test_compare_pair_of_diffusivities(tmp_path):
-    cfg = _base(
+def _pair_config(tmp_path):
+    _base(
         tmp_path,
         alpha=1.4,
         r=0.4,
@@ -168,10 +189,13 @@ def test_compare_pair_of_diffusivities(tmp_path):
     )
     # drop the null entries json.dump kept
     raw = json.loads((tmp_path / "run.json").read_text())
-    _write_config(
+    return _write_config(
         tmp_path / "run.json", **{k: v for k, v in raw.items() if v is not None}
     )
-    assert main(["compare", "--config", str(tmp_path / "run.json")]) == 0
+
+
+def test_compare_pair_of_diffusivities(tmp_path):
+    assert main(["compare", "--config", _pair_config(tmp_path)]) == 0
     out = tmp_path / "out"
     for name in ("compare_k1.csv", "compare_k2.csv"):
         lines = (out / name).read_text().strip().split("\n")
@@ -183,6 +207,21 @@ def test_compare_pair_of_diffusivities(tmp_path):
     assert not (out / "compare.csv").exists()
 
 
+# SHA-256 of the compare CSVs of _pair_config, taken before the CSV writer
+# formatted each file in one pass and the grid table was shared
+PAIR_SHA256 = {
+    "compare_k1.csv": "ac5d43377ce5f7cc38ef35a2a6686646b30033075630dd3930e7a2716b231878",
+    "compare_k2.csv": "786e2c13e42169e73bdc5eb13327375a8cc56cb4cd3c0659a086f38279033f68",
+}
+
+
+def test_compare_pair_bytes_frozen(tmp_path):
+    assert main(["compare", "--config", _pair_config(tmp_path)]) == 0
+    for name, digest in PAIR_SHA256.items():
+        raw = _read(tmp_path / "out" / name)
+        assert hashlib.sha256(raw).hexdigest() == digest, name
+
+
 def test_compare_single_diffusivity(tmp_path):
     cfg = _base(tmp_path, variant=None, N=8, grid_points=11)
     raw = json.loads((tmp_path / "run.json").read_text())
@@ -192,6 +231,34 @@ def test_compare_single_diffusivity(tmp_path):
     assert main(["compare", "--config", str(tmp_path / "run.json")]) == 0
     assert (tmp_path / "out" / "compare.csv").exists()
     assert not (tmp_path / "out" / "compare_k1.csv").exists()
+
+
+# ---------------------------------------------------------------- CSV bytes
+
+# zeros of both signs, the smallest subnormal, values needing all 17 digits,
+# and the integers where %.17g switches to exponent form
+EDGE_VALUES = [0.0, -0.0, 5e-324, 1e-300, 1 / 3, -2.5, 1e16, 1e17,
+               123456789012345678.0]
+
+
+def _per_value_csv(header, columns):
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    return "".join(
+        line + "\n" for line in [header] + [",".join("%.17g" % v for v in row) for row in rows]
+    )
+
+
+@pytest.mark.parametrize("n", [len(EDGE_VALUES), 10001])
+def test_write_csv_matches_per_value_format(tmp_path, n):
+    if n == len(EDGE_VALUES):
+        x = np.array(EDGE_VALUES)
+    else:
+        x = np.linspace(0.0, 1.0, n)
+    columns = [x, -x[::-1], x * np.pi]
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), "x,a,b", _format_column(x), columns[1:])
+    got = _read(path).decode().split("\n")
+    assert got == _per_value_csv("x,a,b", columns).split("\n")
 
 
 # --------------------------------------------------------------- exit codes
@@ -276,6 +343,12 @@ def test_compare_conflicting_k_exits_1(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+def test_compare_nonpositive_degree_exits_1(tmp_path, capsys):
+    cfg = _base(tmp_path, N=0, grid_points=11)
+    assert main(["compare", "--config", cfg]) == 1
+    assert "N must be at least 1" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     # diffusivity dips below zero inside the domain: config is well formed,
     # the assembly failure surfaces as a numerical error
@@ -284,11 +357,40 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_overflowing_system_exits_2(tmp_path, capsys):
+    # DiscreteSystem rejects the non-finite entries with a ValueError, which
+    # is not a numerical failure; assembly reports them first
+    cfg = _base(tmp_path, N=8, k="1e308+x", b="1e308*x", c="1e308")
+    assert main(["solve", "--config", cfg]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_converge_numerical_failure_exits_2(tmp_path, capsys):
+    # run_convergence names the failing degree in a RuntimeError raised from
+    # the assembly failure, which keeps its exit code
+    cfg = _base(tmp_path, Ns=[4, 6], N_ref=10, k="x-0.5")
+    assert main(["converge", "--config", cfg]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_programming_error_is_not_numerical(tmp_path, capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken comparison")
+
+    monkeypatch.setattr(fracspec.cli, "run_comparison", broken)
+    cfg = _base(tmp_path, N=8, grid_points=11)
+    with pytest.raises(TypeError, match="broken comparison"):
+        main(["compare", "--config", cfg])
+    assert "numerical failure" not in capsys.readouterr().err
+
+
 def test_console_script_help():
     proc = subprocess.run(
         [sys.executable, "-m", "fracspec.cli", "--help"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         timeout=60,
     )
     assert proc.returncode == 0

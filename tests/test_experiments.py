@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 import fracspec.assembly
+import fracspec.spaces
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
 from fracspec.experiments import (
@@ -20,6 +21,7 @@ from fracspec.experiments import (
 )
 from fracspec.fracparams import solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table
+from fracspec.solver import solve
 
 
 def _one(x):
@@ -221,6 +223,30 @@ def test_run_comparison_shares_k_free_blocks(monkeypatch):
                    c=lambda x: 5.0 + np.sin(x), f=_one, N=12, grid_points=11)
     assert counts == {"assemble_B0": 4, "assemble_B1": 1, "assemble_B2": 1,
                       "assemble_rhs": 1}
+
+
+def test_run_comparison_builds_one_grid_table(monkeypatch):
+    # the trial basis depends on neither k nor the variant, so the four
+    # solutions are sampled from one table on the output grid
+    grid_points = 37
+    grid_tables = []
+    table = fracspec.spaces.eval_Ghat_table
+
+    def counted(p, N, x):
+        if np.size(x) == grid_points:
+            grid_tables.append(N)
+        return table(p, N, x)
+
+    monkeypatch.setattr(fracspec.spaces, "eval_Ghat_table", counted)
+    fp = solve_beta(1.4, 0.4)
+    reps = run_comparison(fp, [parse("piecewise(0.5; 2; 1)"), parse("1+x")], b=np.exp,
+                          c=lambda x: 5.0 + np.sin(x), f=_one, N=12,
+                          grid_points=grid_points)
+    assert grid_tables == [12]
+    # each column is bitwise what the solution gives on its own
+    for rep in reps:
+        for spec, u in ((rep.spec_acute, rep.u_acute), (rep.spec_grave, rep.u_grave)):
+            assert np.array_equal(u, solve(spec).u(rep.x))
 
 
 def test_run_comparison_constant_k_control():

@@ -163,6 +163,21 @@ def test_eval_solution_boundary_and_interior():
     assert out[0] == 0.0 and out[2] == 0.0
 
 
+def test_eval_solution_sequence_matches_single_calls():
+    fp = solve_beta(1.5, 0.5)
+    w = WeightSpec(fp)
+    rng = np.random.default_rng(7)
+    phis = [CoeffVec(w.trial_params, rng.standard_normal(6)) for _ in range(3)]
+    xs = np.linspace(0.0, 1.0, 57)
+    us = eval_solution(phis, w, xs)
+    assert len(us) == 3
+    for phi, u in zip(phis, us):
+        assert np.array_equal(u, eval_solution(phi, w, xs))
+    assert eval_solution(phis, w, 0.5) == [eval_solution(phi, w, 0.5) for phi in phis]
+    with pytest.raises(ValueError, match="degree"):
+        eval_solution([phis[0], CoeffVec(w.trial_params, np.ones(4))], w, xs)
+
+
 def test_eval_solution_rejects_basis_mismatch():
     fp = solve_beta(1.5, 0.5)
     with pytest.raises(ValueError):
