@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -32,6 +31,7 @@ from .experiments import coeff_is_zero, run_comparison, run_convergence
 from .fracparams import predicted_rates, solve_beta
 from .jacobi import QuadratureError
 from .linsolve import SingularMatrixError
+from .numfmt import g17_cells
 from .solver import solve
 
 
@@ -96,7 +96,10 @@ def _get_int(raw: dict, key: str, required: bool = True):
     v = _get_number(raw, key, required)
     if v is None:
         return None
-    _require(float(v) == int(v), f"config: '{key}' must be an integer, got {v!r}")
+    _require(
+        isinstance(v, int) or (math.isfinite(v) and v == int(v)),
+        f"config: '{key}' must be an integer, got {v!r}",
+    )
     return int(v)
 
 
@@ -210,23 +213,27 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _format_column(values) -> list:
-    """Each value formatted as _fmt does, all by one % over an n-line format
-    string."""
-    vals = np.asarray(values).tolist()
-    return ("\n".join([_NUM] * len(vals)) % tuple(vals)).split("\n")
+def _format_column(values) -> np.ndarray:
+    """Each value as _fmt formats it, one NUL-padded row of bytes per value
+    (numfmt.g17_cells)."""
+    return g17_cells(values)
 
 
-def _write_csv(path: str, header: str, x_cells: list, columns):
+def _write_csv(path: str, header: str, x_cells: np.ndarray, columns):
     """The header, then one line per grid point: its x cell from
     _format_column, so files on one grid share one formatting of it, then the
     point's value in each of the equal-length columns, formatted as _fmt
-    does.  The body is one % over an n-line format string and the row-major
-    values."""
-    line = ",".join(["%s"] + [_NUM] * len(columns))
-    cols = [x_cells] + [np.asarray(col).tolist() for col in columns]
-    body = "\n".join([line] * len(x_cells)) % tuple(chain.from_iterable(zip(*cols)))
-    _write_text(path, f"{header}\n{body}\n")
+    does.  The file is one array of cells and separators with its NUL
+    padding deleted, written in one call."""
+    n = len(x_cells)
+    comma = np.full((n, 1), ord(","), dtype=np.uint8)
+    parts = [x_cells]
+    for col in columns:
+        parts += [comma, _format_column(col)]
+    parts.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
+    body = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+    with open(path, "wb") as fh:
+        fh.write(f"{header}\n".encode("ascii") + body)
 
 
 def _echo_config(cfg: RunConfig, command: str):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fracspec.cli
 from fracspec.cli import _format_column, _write_csv, main
@@ -261,6 +262,74 @@ def test_write_csv_matches_per_value_format(tmp_path, n):
     assert got == _per_value_csv("x,a,b", columns).split("\n")
 
 
+def _cell_texts(values):
+    return [row.tobytes().replace(b"\0", b"").decode("ascii")
+            for row in _format_column(values)]
+
+
+def _assert_cells_match(values):
+    values = np.asarray(values, dtype=float)
+    want = ["%.17g" % v for v in values.tolist()]
+    got = _cell_texts(values)
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert not bad, bad[:5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.floats(1e-10, 1e15), st.floats(-1e15, -1e-10)),
+                min_size=1, max_size=40))
+def test_format_column_matches_percent_g17(values):
+    # st.floats() gives nan, both infinities, subnormals and -0.0; the
+    # bounded strategies exercise the exact integer path
+    _assert_cells_match(values)
+
+
+def _decimal_ties():
+    # n + 0.125 (n >= 1e14), n + 0.375 (n >= 1e14) and n + 0.0625 have 18
+    # significant digits ending in 5: a tie at 17 digits, rounded to even
+    rng = np.random.default_rng(7)
+    ns = np.concatenate([
+        10.0**13 + np.arange(2000),
+        10.0**14 + np.arange(2000),
+        10.0**15 - 2000 + np.arange(2000),
+        rng.integers(10**13, 10**15, 4000).astype(float),
+    ])
+    return np.concatenate([ns + 0.125, ns + 0.375, ns + 0.0625])
+
+
+def _binary_fractions():
+    k = np.arange(1, 1001, dtype=float)
+    return np.concatenate([k * 2.0**-j for j in range(0, 64, 3)])
+
+
+def _around_powers_of_ten():
+    out = []
+    for e in range(-12, 17):
+        for direction in (0.0, np.inf):
+            v = 10.0**e
+            for _ in range(4):
+                out.append(v)
+                v = np.nextafter(v, direction)
+    return np.array(out)
+
+
+# the two edges of the exact range, and the double nearest 1e-07, whose
+# decade is -8 (9.9999999999999995e-08)
+RANGE_EDGES = [1e-10, np.nextafter(1e-10, 0.0), np.nextafter(1e15, 0.0), 1e15,
+               1e-7, 1e-6]
+
+
+@pytest.mark.parametrize(
+    "values",
+    [_decimal_ties(), _binary_fractions(), _around_powers_of_ten(), RANGE_EDGES],
+    ids=["decimal_ties", "binary_fractions", "powers_of_ten", "range_edges"],
+)
+def test_format_column_exact_cases(values):
+    values = np.asarray(values)
+    _assert_cells_match(values)
+    _assert_cells_match(-values)
+
+
 # --------------------------------------------------------------- exit codes
 
 
@@ -297,6 +366,18 @@ def test_zero_setting_exits_1_not_defaulted(tmp_path, capsys, key):
     assert main(["solve", "--config", cfg]) == 1
     assert f"{key} must be at least" in capsys.readouterr().err
     assert not (tmp_path / "out" / "solution.csv").exists()
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("key", ["N", "N_ref", "quad_points", "grid_points"])
+def test_non_finite_integer_setting_exits_1(tmp_path, capsys, key, literal):
+    cfg = _base(tmp_path, N=8, grid_points=11)
+    raw = json.loads((tmp_path / "run.json").read_text())
+    raw[key] = "@"
+    (tmp_path / "run.json").write_text(json.dumps(raw).replace('"@"', literal))
+    assert main(["solve", "--config", cfg]) == 1
+    assert f"'{key}' must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_key_exits_1(tmp_path, capsys):

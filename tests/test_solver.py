@@ -154,3 +154,22 @@ def test_resolved_error_regression():
     e_l2, e_h1 = error_norms(ref.phi, cur.phi, [0.0, 1.0])
     assert e_l2 == pytest.approx(7.936896004631756e-4, rel=1e-6)
     assert e_h1 == pytest.approx(1.614467421001038e-2, rel=1e-6)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("alpha", [1.001, 1.01, 1.99, 1.999])
+def test_edge_of_the_window_solves_cleanly(alpha, r):
+    # N = 12 with k = 1+2x, b = exp x, c = 5+sin x, f = 1 at the edges of
+    # the (alpha, r) window.  Measured over all 24 solves: the condition
+    # estimate at most 114.02 (alpha 1.999, grave, r = 1), the residual at
+    # most 1.19e-16 (alpha 1.001, acute, r = 1).  The bounds leave 5% and a
+    # factor 8 of headroom; the residual is rounding error, which moves with
+    # the BLAS build.
+    fp = solve_beta(alpha, r)
+    kw = dict(k=lambda x: 1.0 + 2.0 * x, b=np.exp,
+              c=lambda x: 5.0 + np.sin(x), f=_one, N=12)
+    for variant in ("acute", "grave"):
+        sol = solve(ProblemSpec(fp=fp, variant=variant, **kw))
+        assert np.all(np.isfinite(sol.phi.coeffs))
+        assert sol.diagnostics["condition"] <= 120.0
+        assert sol.diagnostics["residual"] <= 1e-15
