@@ -10,21 +10,24 @@ both variants for both jump directions plus a constant-k control.
 
 import numpy as np
 
-from fracspec import parse, run_comparison, solve_beta
+from fracspec import ProblemSpec, parse, run_comparison, solve_beta
 
-fp = solve_beta(1.4, 0.4)
 k1 = parse("piecewise(0.5; 2; 1)")   # drops from 2 to 1 at the interface
 k2 = parse("piecewise(0.5; 1; 2)")   # rises from 1 to 2
 k_const = parse("1")
 
-reports = run_comparison(
-    fp,
-    [k1, k2, k_const],
+# run_comparison solves each diffusivity in both variants, replacing the
+# spec's own k and variant
+spec = ProblemSpec(
+    fp=solve_beta(1.4, 0.4),
+    variant="acute",
+    k=k_const,
     b=np.exp,
     c=lambda x: 5.0 + np.sin(x),
     f=lambda x: np.ones_like(x),
     N=40,
 )
+reports = run_comparison(spec, [k1, k2, k_const])
 
 labels = ["k1 (2 -> 1)", "k2 (1 -> 2)", "constant"]
 for label, rep in zip(labels, reports):

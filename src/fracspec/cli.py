@@ -8,9 +8,13 @@ The JSON config carries the problem parameters and coefficient expressions;
 --out overrides its "output" field.  Exit codes: 0 success, 1 config error,
 2 numerical failure (AssemblyError, SingularMatrixError, QuadratureError or
 EvalError); any other exception is a fault of the program and propagates.
+All three commands build their ProblemSpec through _build_spec; compare
+solves each diffusivity of it in both variants.  Settings above MAX_DEGREE
+(N, N_ref), MAX_QUAD_POINTS and MAX_GRID_POINTS are config errors.
 CSV output is deterministic: 17 significant digits, comma separator, LF line
 endings.  Every run echoes its fully resolved config into the output
-directory as config.json.
+directory as config.json: every setting given or defaulted, and the
+quadrature size q that solve and compare ran at.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -37,6 +41,13 @@ from .solver import solve
 
 class ConfigError(Exception):
     pass
+
+
+# the largest size settings accepted; larger ones would allocate gigabytes
+# (an (N+1)^2 system, a grid_points x (N+1) basis table) before failing
+MAX_DEGREE = 2048
+MAX_QUAD_POINTS = 4096
+MAX_GRID_POINTS = 100_001
 
 
 # failures of the numerics on a well-formed config: exit code 2
@@ -92,14 +103,18 @@ def _get_number(raw: dict, key: str, required: bool = True):
     return v
 
 
+def _is_integral(v) -> bool:
+    """A JSON integer, or a float with a finite integral value; not a bool."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    return isinstance(v, int) or (math.isfinite(v) and v == int(v))
+
+
 def _get_int(raw: dict, key: str, required: bool = True):
     v = _get_number(raw, key, required)
     if v is None:
         return None
-    _require(
-        isinstance(v, int) or (math.isfinite(v) and v == int(v)),
-        f"config: '{key}' must be an integer, got {v!r}",
-    )
+    _require(_is_integral(v), f"config: '{key}' must be an integer, got {v!r}")
     return int(v)
 
 
@@ -164,11 +179,10 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
         )
     if cfg.Ns is not None:
         _require(
-            isinstance(cfg.Ns, list)
-            and cfg.Ns
-            and all(isinstance(n, int) and not isinstance(n, bool) for n in cfg.Ns),
+            isinstance(cfg.Ns, list) and cfg.Ns and all(map(_is_integral, cfg.Ns)),
             f"config: 'Ns' must be a nonempty list of integers, got {cfg.Ns!r}",
         )
+        cfg.Ns = [int(n) for n in cfg.Ns]
         _require(
             all(n2 > n1 for n1, n2 in zip(cfg.Ns[:-1], cfg.Ns[1:])),
             f"config: 'Ns' must be strictly ascending, got {cfg.Ns}",
@@ -176,6 +190,17 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
     _require(cfg.grid_points >= 2, "config: grid_points must be at least 2")
     _require(cfg.N_ref >= 1, "config: N_ref must be at least 1")
     _require(cfg.N is None or cfg.N >= 1, "config: N must be at least 1")
+    for key, limit in (
+        ("N", MAX_DEGREE),
+        ("N_ref", MAX_DEGREE),
+        ("quad_points", MAX_QUAD_POINTS),
+        ("grid_points", MAX_GRID_POINTS),
+    ):
+        value = getattr(cfg, key)
+        _require(
+            value is None or value <= limit,
+            f"config: '{key}' must be at most {limit}, got {value}",
+        )
 
     if command in ("solve", "converge"):
         _require(cfg.variant is not None, f"config: '{command}' needs a 'variant'")
@@ -198,6 +223,8 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
             not (has_pair and cfg.k is not None),
             "config: give 'k' or 'k1'/'k2', not both",
         )
+        if cfg.N is None:
+            cfg.N = 40  # compare's default degree
     return cfg
 
 
@@ -213,56 +240,30 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _format_column(values) -> np.ndarray:
-    """Each value as _fmt formats it, one NUL-padded row of bytes per value
-    (numfmt.g17_cells)."""
-    return g17_cells(values)
-
-
 def _write_csv(path: str, header: str, x_cells: np.ndarray, columns):
-    """The header, then one line per grid point: its x cell from
-    _format_column, so files on one grid share one formatting of it, then the
-    point's value in each of the equal-length columns, formatted as _fmt
-    does.  The file is one array of cells and separators with its NUL
-    padding deleted, written in one call."""
+    """The header, then one line per grid point: its x cell from g17_cells,
+    so files on one grid share one formatting of it, then the point's value
+    in each of the equal-length columns, formatted as _fmt does.  The file
+    is one array of cells and separators with its NUL padding deleted,
+    written in one call."""
     n = len(x_cells)
     comma = np.full((n, 1), ord(","), dtype=np.uint8)
     parts = [x_cells]
     for col in columns:
-        parts += [comma, _format_column(col)]
+        parts += [comma, g17_cells(col)]
     parts.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
     body = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
     with open(path, "wb") as fh:
         fh.write(f"{header}\n".encode("ascii") + body)
 
 
-def _echo_config(cfg: RunConfig, command: str):
-    resolved = {
-        "command": command,
-        "alpha": cfg.alpha,
-        "r": cfg.r,
-        "b": cfg.b,
-        "c": cfg.c,
-        "f": cfg.f,
-        "N_ref": cfg.N_ref,
-        "grid_points": cfg.grid_points,
-        "output": cfg.output,
-    }
-    if cfg.variant is not None:
-        resolved["variant"] = cfg.variant
-    for key in ("k", "k1", "k2"):
-        val = getattr(cfg, key)
-        if val is not None:
-            resolved[key] = val
-    if cfg.N is not None:
-        resolved["N"] = cfg.N
-        resolved["quad_points"] = (
-            cfg.quad_points if cfg.quad_points is not None else cfg.N + 20
-        )
-    elif cfg.quad_points is not None:
-        resolved["quad_points"] = cfg.quad_points
-    if cfg.Ns is not None:
-        resolved["Ns"] = cfg.Ns
+def _echo_config(cfg: RunConfig, command: str, q: Optional[int]):
+    """config.json: every setting that is set, the command, and the
+    quadrature size q unless it is None."""
+    resolved = {key: val for key, val in asdict(cfg).items() if val is not None}
+    resolved["command"] = command
+    if q is not None:
+        resolved["quad_points"] = q
     _write_text(
         os.path.join(cfg.output, "config.json"),
         json.dumps(resolved, indent=2, sort_keys=True) + "\n",
@@ -280,13 +281,14 @@ def _parse_exprs(cfg: RunConfig, keys) -> dict:
     return out
 
 
-def _build_spec(cfg: RunConfig, exprs: dict, N: int) -> ProblemSpec:
-    # parameter-window violations are config mistakes, not numerics
+def _build_spec(cfg: RunConfig, exprs: dict, N: int, variant: str) -> ProblemSpec:
+    # parameter-window and quadrature-size violations are config mistakes,
+    # not numerics
     try:
         fp = solve_beta(cfg.alpha, cfg.r)
         return ProblemSpec(
             fp,
-            cfg.variant,
+            variant,
             exprs["k"],
             exprs["b"],
             exprs["c"],
@@ -300,10 +302,10 @@ def _build_spec(cfg: RunConfig, exprs: dict, N: int) -> ProblemSpec:
 
 def cmd_solve(cfg: RunConfig) -> int:
     exprs = _parse_exprs(cfg, ("k", "b", "c", "f"))
-    spec = _build_spec(cfg, exprs, cfg.N)
+    spec = _build_spec(cfg, exprs, cfg.N, cfg.variant)
     fp = spec.fp
     os.makedirs(cfg.output, exist_ok=True)
-    _echo_config(cfg, "solve")
+    _echo_config(cfg, "solve", spec.q)
 
     system = assemble_system(spec)
     sol = solve(spec, system)
@@ -311,7 +313,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     pred = predicted_rates(fp, coeff_is_zero(exprs["b"]), math.inf, cfg.variant)
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
     _write_csv(
-        os.path.join(cfg.output, "solution.csv"), "x,u", _format_column(xs), [sol.u(xs)]
+        os.path.join(cfg.output, "solution.csv"), "x,u", g17_cells(xs), [sol.u(xs)]
     )
 
     d = sol.diagnostics
@@ -337,9 +339,10 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig) -> int:
     exprs = _parse_exprs(cfg, ("k", "b", "c", "f"))
-    spec = _build_spec(cfg, exprs, cfg.Ns[0])
+    spec = _build_spec(cfg, exprs, cfg.Ns[0], cfg.variant)
     os.makedirs(cfg.output, exist_ok=True)
-    _echo_config(cfg, "converge")
+    # the sweep's quadrature size is run_convergence's, not spec.q
+    _echo_config(cfg, "converge", cfg.quad_points)
 
     report = run_convergence(spec, cfg.Ns, cfg.N_ref)
     lines = ["N,err_L2,rate_L2,err_H1,rate_H1"]
@@ -361,35 +364,18 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    if cfg.k1 is not None:
-        labels = ["k1", "k2"]
-    else:
-        labels = ["k"]
+    labels = ["k1", "k2"] if cfg.k1 is not None else ["k"]
     exprs = _parse_exprs(cfg, labels + ["b", "c", "f"])
-    try:
-        fp = solve_beta(cfg.alpha, cfg.r)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    N = cfg.N if cfg.N is not None else 40
-    if cfg.quad_points is not None and cfg.quad_points < N + 20:
-        raise ConfigError(
-            f"config: quad_points must be at least N+20 = {N + 20}, got {cfg.quad_points}"
-        )
+    ks = [exprs[label] for label in labels]
+    # run_comparison solves each of ks in both variants; the spec's own k
+    # and variant are not used
+    spec = _build_spec(cfg, {**exprs, "k": ks[0]}, cfg.N, "acute")
     os.makedirs(cfg.output, exist_ok=True)
-    _echo_config(cfg, "compare")
+    _echo_config(cfg, "compare", spec.q)
 
-    reports = run_comparison(
-        fp,
-        [exprs[label] for label in labels],
-        exprs["b"],
-        exprs["c"],
-        exprs["f"],
-        N=N,
-        grid_points=cfg.grid_points,
-        quad_points=cfg.quad_points,
-    )
+    reports = run_comparison(spec, ks, cfg.grid_points)
     # every report samples the same grid
-    x_cells = _format_column(reports[0].x)
+    x_cells = g17_cells(reports[0].x)
     for label, rep in zip(labels, reports):
         name = "compare.csv" if label == "k" else f"compare_{label}.csv"
         _write_csv(

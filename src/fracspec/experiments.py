@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .assembly import ProblemSpec, assemble_shared, assemble_system
 from .coeffexpr import breaks_of, sample
-from .fracparams import FracParams, predicted_rates
+from .fracparams import predicted_rates
 from .solver import eval_solutions, solve
 from .spaces import error_norms
 
@@ -112,32 +112,24 @@ def run_convergence(
 
 
 def run_comparison(
-    fp: FracParams,
-    k_variants: Sequence,
-    b,
-    c,
-    f,
-    N: int = 40,
-    grid_points: int = 1001,
-    quad_points: Optional[int] = None,
+    spec: ProblemSpec, ks: Sequence, grid_points: int = 1001
 ) -> list[ComparisonReport]:
-    """Solve both operator variants for each diffusivity in k_variants and
-    sample them on a uniform grid; one report per diffusivity, input order.
-    B1, B2 and the load vector depend on neither k nor the variant, so they
-    are assembled once and only B0 is assembled per solve.  The trial basis
-    does not depend on them either, so every solution is sampled from one
-    basis table on the grid."""
+    """Solve both operator variants for each diffusivity in ks and sample
+    them on a uniform grid; one report per diffusivity, input order.  Each
+    solve is spec with its k and variant replaced, so spec's own k and
+    variant are not used.  B1, B2 and the load vector depend on neither k nor
+    the variant, so they are assembled once and only B0 is assembled per
+    solve.  The trial basis does not depend on them either, so every
+    solution is sampled from one basis table on the grid."""
     if grid_points < 2:
         raise ValueError(f"run_comparison: need at least 2 grid points, got {grid_points}")
     xs = np.linspace(0.0, 1.0, grid_points)
+    shared = assemble_shared(spec)
     sols = []
-    shared = None
-    for k in k_variants:
+    for k in ks:
         for variant in ("acute", "grave"):
-            spec = ProblemSpec(fp, variant, k, b, c, f, N, quad_points)
-            if shared is None:
-                shared = assemble_shared(spec)
-            sols.append(solve(spec, assemble_system(spec, shared)))
+            spec_kv = replace(spec, k=k, variant=variant)
+            sols.append(solve(spec_kv, assemble_system(spec_kv, shared)))
     us = eval_solutions(sols, xs)
     return [
         ComparisonReport(xs, us[i], us[i + 1], sols[i].spec, sols[i + 1].spec)

@@ -8,7 +8,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .assembly import DiscreteSystem, ProblemSpec, assemble_system, k_floor
-from .fracparams import FracParams
 from .linsolve import condition_estimate, factor, lu_solve
 from .spaces import CoeffVec, WeightSpec, eval_solution
 
@@ -20,13 +19,12 @@ class Solution:
     residual of the linear solve, and the reciprocal pivot-growth ratio."""
 
     spec: ProblemSpec
-    fp: FracParams
     phi: CoeffVec
     diagnostics: dict
 
     def u(self, x):
         """Pointwise solution u(x) = omega(x) phi(x); zero at both endpoints."""
-        return eval_solution(self.phi, WeightSpec(self.fp), x)
+        return eval_solution([self.phi], WeightSpec(self.spec.fp), x)[0]
 
 
 def eval_solutions(sols: Sequence[Solution], x) -> list:
@@ -34,7 +32,7 @@ def eval_solutions(sols: Sequence[Solution], x) -> list:
     must share fp and N.  Each u equals its own Solution.u(x) bit for bit."""
     if not sols:
         return []
-    return eval_solution([s.phi for s in sols], WeightSpec(sols[0].fp), x)
+    return eval_solution([s.phi for s in sols], WeightSpec(sols[0].spec.fp), x)
 
 
 def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solution:
@@ -62,7 +60,6 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
     trial = WeightSpec(spec.fp).trial_params
     return Solution(
         spec=spec,
-        fp=spec.fp,
         phi=CoeffVec(trial, phi_vec),
         diagnostics={
             "k_min": k_min,

@@ -103,16 +103,13 @@ def sobolev_norm(v: CoeffVec, s: float) -> float:
     return float(np.sqrt(np.sum((1.0 + j * j) ** s * v.coeffs ** 2)))
 
 
-def eval_solution(phi: CoeffVec | Sequence[CoeffVec], w: WeightSpec, x):
-    """u(x) = omega(x) * sum_j phi_j Ghat_j^{(alpha-beta,beta)}(x).
-
-    phi may also be a sequence of expansions of one degree, which gives a
-    list with one u per entry from a single basis table and omega on x; each
-    u is its own table-vector product, so it rounds as it would alone.  The
-    weight vanishes at both endpoints, so u(0) = u(1) = 0 exactly.
+def eval_solution(phis: Sequence[CoeffVec], w: WeightSpec, x) -> list:
+    """u(x) = omega(x) * sum_j phi_j Ghat_j^{(alpha-beta,beta)}(x) for each
+    expansion in phis, which share one degree: one u per entry from a single
+    basis table and omega on x.  Each u is its own table-vector product, so
+    it rounds as it would alone; for scalar x each u is a float.  The weight
+    vanishes at both endpoints, so u(0) = u(1) = 0 exactly.
     """
-    single = isinstance(phi, CoeffVec)
-    phis = [phi] if single else list(phi)
     for p in phis:
         if not _params_close(p.params, w.trial_params):
             raise ValueError(
@@ -130,9 +127,7 @@ def eval_solution(phi: CoeffVec | Sequence[CoeffVec], w: WeightSpec, x):
     V = eval_Ghat_table(phis[0].params, degree, xs)
     om = w.omega(xs)
     us = [om * (V @ p.coeffs) for p in phis]
-    if scalar:
-        us = [float(u[0]) for u in us]
-    return us[0] if single else us
+    return [float(u[0]) for u in us] if scalar else us
 
 
 def error_norms(

@@ -296,10 +296,8 @@ def test_criterion_7_model_comparison_run():
     fp = solve_beta(1.4, 0.4)
     k1 = parse("piecewise(0.5; 2; 1)")
     k2 = parse("piecewise(0.5; 1; 2)")
-    reps = run_comparison(
-        fp, [k1, k2, _one], b=np.exp, c=lambda x: 5.0 + np.sin(x), f=_one,
-        N=40, grid_points=1001,
-    )
+    spec = ProblemSpec(fp, "acute", _one, np.exp, lambda x: 5.0 + np.sin(x), _one, 40)
+    reps = run_comparison(spec, [k1, k2, _one], grid_points=1001)
     ends = []
     for rep in reps:
         ends += [rep.u_acute[0], rep.u_acute[-1], rep.u_grave[0],

@@ -8,8 +8,10 @@ bindings breaks the benchmark's per-layer metrics; this test catches that
 in the ordinary suite.  It only reads perfbench/.
 """
 
+import json
 from pathlib import Path
 
+import fracspec.cli
 import fracspec.experiments
 import fracspec.solver
 from fracspec.assembly import ProblemSpec
@@ -79,15 +81,35 @@ def test_traced_convergence_sweep(monkeypatch):
 
 
 def test_traced_two_diffusivity_comparison(monkeypatch):
-    exprs = {key: parse(src) for key, src in CASE_A.items()}
-    ks = [parse("piecewise(0.5; 1; 10)"), exprs["k"]]
+    ks = [parse("piecewise(0.5; 1; 10)"), parse(CASE_A["k"])]
     tracer = _traced(
         monkeypatch,
-        lambda: fracspec.experiments.run_comparison(
-            solve_beta(1.3, 0.5), ks, exprs["b"], exprs["c"], exprs["f"],
-            N=12, grid_points=11,
-        ),
+        lambda: fracspec.experiments.run_comparison(_case_a_spec(12), ks, grid_points=11),
     )
     layers = {span[0] for span in tracer.spans}
     assert layers >= set(SOLVE_LAYERS) | {"spaces.eval_solution"}
+    assert tracer.counts["linsolve.factorizations"] == 4
+
+
+def test_traced_cli_compare(monkeypatch, tmp_path):
+    # the benchmark's cli_compare workload runs this command in process; its
+    # per-layer times come from the fracspec.cli bindings the tracer wraps
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({
+        "alpha": 1.3, "r": 0.5, "k1": "piecewise(0.5; 1; 10)", "k2": CASE_A["k"],
+        **{key: CASE_A[key] for key in ("b", "c", "f")},
+        "N": 12, "grid_points": 11, "output": str(tmp_path / "out"),
+    }))
+    tracer = _traced(
+        monkeypatch,
+        lambda: fracspec.cli.main(["compare", "--config", str(config)]),
+    )
+    layers = {span[0] for span in tracer.spans}
+    assert layers >= {
+        "cli",
+        "coeffexpr.parse",
+        "fracparams.solve_beta",
+        "experiments.run_comparison",
+        "spaces.eval_solution",
+    }
     assert tracer.counts["linsolve.factorizations"] == 4

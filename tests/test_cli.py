@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracspec.cli
-from fracspec.cli import _format_column, _write_csv, main
+from fracspec.cli import _write_csv, main
+from fracspec.numfmt import g17_cells
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -166,6 +167,26 @@ def test_converge_table_layout(tmp_path):
         assert float(parts[1]) > 0
 
 
+def test_converge_integral_float_degrees(tmp_path):
+    # an integral float is an integer for Ns as it is for N
+    for name, Ns in (("ints", [8, 10]), ("floats", [8.0, 10.0])):
+        cfg = _base(tmp_path, Ns=Ns, N_ref=14, output=str(tmp_path / name))
+        assert main(["converge", "--config", cfg]) == 0
+    assert _read(tmp_path / "floats" / "convergence.csv") == _read(
+        tmp_path / "ints" / "convergence.csv"
+    )
+
+
+@pytest.mark.parametrize("literal", ["true", "8.5", "NaN", "Infinity", "-Infinity", "1e400"])
+def test_converge_non_integer_degree_exits_1(tmp_path, capsys, literal):
+    cfg = _base(tmp_path, Ns=[8, "@"], N_ref=14)
+    raw = (tmp_path / "run.json").read_text()
+    (tmp_path / "run.json").write_text(raw.replace('"@"', literal))
+    assert main(["converge", "--config", cfg]) == 1
+    assert "'Ns' must be a nonempty list of integers" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_converge_single_degree(tmp_path):
     cfg = _base(tmp_path, Ns=[6], N_ref=10)
     assert main(["converge", "--config", cfg]) == 0
@@ -223,6 +244,20 @@ def test_compare_pair_bytes_frozen(tmp_path):
         assert hashlib.sha256(raw).hexdigest() == digest, name
 
 
+def test_compare_echoes_default_degree(tmp_path):
+    # a compare without N runs at N = 40 and q = N + 20, and says so
+    cfg = _base(tmp_path, variant=None, grid_points=11)
+    raw = json.loads((tmp_path / "run.json").read_text())
+    _write_config(
+        tmp_path / "run.json", **{k: v for k, v in raw.items() if v is not None}
+    )
+    assert main(["compare", "--config", cfg]) == 0
+    echo = json.loads((tmp_path / "out" / "config.json").read_text())
+    assert echo["command"] == "compare"
+    assert echo["N"] == 40
+    assert echo["quad_points"] == 60
+
+
 def test_compare_single_diffusivity(tmp_path):
     cfg = _base(tmp_path, variant=None, N=8, grid_points=11)
     raw = json.loads((tmp_path / "run.json").read_text())
@@ -257,14 +292,14 @@ def test_write_csv_matches_per_value_format(tmp_path, n):
         x = np.linspace(0.0, 1.0, n)
     columns = [x, -x[::-1], x * np.pi]
     path = tmp_path / "out.csv"
-    _write_csv(str(path), "x,a,b", _format_column(x), columns[1:])
+    _write_csv(str(path), "x,a,b", g17_cells(x), columns[1:])
     got = _read(path).decode().split("\n")
     assert got == _per_value_csv("x,a,b", columns).split("\n")
 
 
 def _cell_texts(values):
     return [row.tobytes().replace(b"\0", b"").decode("ascii")
-            for row in _format_column(values)]
+            for row in g17_cells(values)]
 
 
 def _assert_cells_match(values):
@@ -344,17 +379,21 @@ def test_format_column_exact_cases(values):
         dict(N="eight"),
         dict(Ns=[8, 6], N=None),
         dict(quad_points=10),
+        # the spec-level cases again, where compare builds its spec
+        dict(alpha=2.5, command="compare"),
+        dict(r=1.5, command="compare"),
+        dict(quad_points=10, command="compare"),
     ],
 )
 def test_config_errors_exit_1(tmp_path, capsys, mutate):
     base = dict(N=8, grid_points=11)
     base.update(mutate)
+    command = base.pop("command", "converge" if mutate.get("Ns") else "solve")
     cfg = _base(tmp_path, **base)
     raw = json.loads((tmp_path / "run.json").read_text())
     _write_config(
         tmp_path / "run.json", **{k: v for k, v in raw.items() if v is not None}
     )
-    command = "converge" if mutate.get("Ns") else "solve"
     assert main([command, "--config", str(tmp_path / "run.json")]) == 1
     assert "fracspec:" in capsys.readouterr().err
 
@@ -377,6 +416,19 @@ def test_non_finite_integer_setting_exits_1(tmp_path, capsys, key, literal):
     (tmp_path / "run.json").write_text(json.dumps(raw).replace('"@"', literal))
     assert main(["solve", "--config", cfg]) == 1
     assert f"'{key}' must be an integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, limit",
+    [("N", 2048), ("N_ref", 2048), ("quad_points", 4096), ("grid_points", 100001)],
+)
+@pytest.mark.parametrize("excess", ["plus_one", "1e20_int", "1e20_float"])
+def test_oversized_setting_exits_1(tmp_path, capsys, key, limit, excess):
+    value = {"plus_one": limit + 1, "1e20_int": 10**20, "1e20_float": 1e20}[excess]
+    cfg = _base(tmp_path, **{"N": 8, "grid_points": 11, key: value})
+    assert main(["solve", "--config", cfg]) == 1
+    assert f"'{key}' must be at most {limit}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -196,9 +196,7 @@ def test_run_comparison_reports_per_diffusivity():
     fp = solve_beta(1.4, 0.4)
     k1 = parse("piecewise(0.5; 2; 1)")
     k2 = parse("piecewise(0.5; 1; 2)")
-    reps = run_comparison(fp, [k1, k2], b=np.exp,
-                          c=lambda x: 5.0 + np.sin(x), f=_one,
-                          N=16, grid_points=201)
+    reps = run_comparison(replace(_case_a(N=16), fp=fp), [k1, k2], grid_points=201)
     assert len(reps) == 2
     for rep in reps:
         assert isinstance(rep, ComparisonReport)
@@ -219,8 +217,8 @@ def test_run_comparison_shares_k_free_blocks(monkeypatch):
     blocks = ["assemble_B0", "assemble_B1", "assemble_B2", "assemble_rhs"]
     _count_calls(monkeypatch, fracspec.assembly, blocks, counts)
     fp = solve_beta(1.4, 0.4)
-    run_comparison(fp, [parse("piecewise(0.5; 2; 1)"), parse("1+x")], b=np.exp,
-                   c=lambda x: 5.0 + np.sin(x), f=_one, N=12, grid_points=11)
+    run_comparison(replace(_case_a(N=12), fp=fp),
+                   [parse("piecewise(0.5; 2; 1)"), parse("1+x")], grid_points=11)
     assert counts == {"assemble_B0": 4, "assemble_B1": 1, "assemble_B2": 1,
                       "assemble_rhs": 1}
 
@@ -239,8 +237,8 @@ def test_run_comparison_builds_one_grid_table(monkeypatch):
 
     monkeypatch.setattr(fracspec.spaces, "eval_Ghat_table", counted)
     fp = solve_beta(1.4, 0.4)
-    reps = run_comparison(fp, [parse("piecewise(0.5; 2; 1)"), parse("1+x")], b=np.exp,
-                          c=lambda x: 5.0 + np.sin(x), f=_one, N=12,
+    reps = run_comparison(replace(_case_a(N=12), fp=fp),
+                          [parse("piecewise(0.5; 2; 1)"), parse("1+x")],
                           grid_points=grid_points)
     assert grid_tables == [12]
     # each column is bitwise what the solution gives on its own
@@ -251,16 +249,15 @@ def test_run_comparison_builds_one_grid_table(monkeypatch):
 
 def test_run_comparison_constant_k_control():
     fp = solve_beta(1.4, 0.4)
-    (rep,) = run_comparison(fp, [_one], b=np.exp,
-                            c=lambda x: 5.0 + np.sin(x), f=_one,
-                            N=16, grid_points=101)
+    (rep,) = run_comparison(replace(_case_a(N=16), fp=fp), [_one], grid_points=101)
     assert np.max(np.abs(rep.u_acute - rep.u_grave)) <= 1e-8
 
 
 def test_run_comparison_validates_grid():
     fp = solve_beta(1.4, 0.4)
     with pytest.raises(ValueError, match="grid"):
-        run_comparison(fp, [_one], b=_zero, c=_zero, f=_one, grid_points=1)
+        run_comparison(ProblemSpec(fp, "acute", _one, _zero, _zero, _one, 40), [_one],
+                       grid_points=1)
 
 
 def test_comparison_report_shape_mismatch():

@@ -153,13 +153,14 @@ def test_eval_solution_boundary_and_interior():
     fp = solve_beta(1.5, 0.5)
     w = WeightSpec(fp)
     phi = _unit((0.75, 0.75), 4, 0)
-    assert eval_solution(phi, w, 0.0) == 0.0
-    assert eval_solution(phi, w, 1.0) == 0.0
+    assert eval_solution([phi], w, 0.0) == [0.0]
+    assert eval_solution([phi], w, 1.0) == [0.0]
     # phi is the constant 1/||G_0||, so u(0.5) = 0.5^1.5 / ||G_0||
     want = 0.3535533905932738 / 0.5041467300679373
-    assert eval_solution(phi, w, 0.5) == pytest.approx(want, rel=1e-13)
+    (u,) = eval_solution([phi], w, 0.5)
+    assert u == pytest.approx(want, rel=1e-13)
     xs = np.array([0.0, 0.25, 1.0])
-    out = eval_solution(phi, w, xs)
+    (out,) = eval_solution([phi], w, xs)
     assert out[0] == 0.0 and out[2] == 0.0
 
 
@@ -172,8 +173,8 @@ def test_eval_solution_sequence_matches_single_calls():
     us = eval_solution(phis, w, xs)
     assert len(us) == 3
     for phi, u in zip(phis, us):
-        assert np.array_equal(u, eval_solution(phi, w, xs))
-    assert eval_solution(phis, w, 0.5) == [eval_solution(phi, w, 0.5) for phi in phis]
+        assert np.array_equal(u, eval_solution([phi], w, xs)[0])
+    assert eval_solution(phis, w, 0.5) == [eval_solution([phi], w, 0.5)[0] for phi in phis]
     with pytest.raises(ValueError, match="degree"):
         eval_solution([phis[0], CoeffVec(w.trial_params, np.ones(4))], w, xs)
 
@@ -181,7 +182,7 @@ def test_eval_solution_sequence_matches_single_calls():
 def test_eval_solution_rejects_basis_mismatch():
     fp = solve_beta(1.5, 0.5)
     with pytest.raises(ValueError):
-        eval_solution(_unit((0.0, 0.0), 3, 0), WeightSpec(fp), 0.5)
+        eval_solution([_unit((0.0, 0.0), 3, 0)], WeightSpec(fp), 0.5)
 
 
 def test_error_norms_zero_and_single_mode():
