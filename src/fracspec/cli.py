@@ -8,13 +8,14 @@ The JSON config carries the problem parameters and coefficient expressions;
 --out overrides its "output" field.  Exit codes: 0 success, 1 config error,
 2 numerical failure (AssemblyError, SingularMatrixError, QuadratureError or
 EvalError); any other exception is a fault of the program and propagates.
-All three commands build their ProblemSpec through _build_spec; compare
-solves each diffusivity of it in both variants.  Settings above MAX_DEGREE
-(N, N_ref), MAX_QUAD_POINTS and MAX_GRID_POINTS are config errors.
+load_config reads every key through one table of kinds and integer ranges,
+_SETTINGS; settings above MAX_DEGREE (N, N_ref, Ns), MAX_QUAD_POINTS and
+MAX_GRID_POINTS are config errors.  Each command builds its ProblemSpec
+through _build_spec, so FracParams checks alpha and r and ProblemSpec checks
+N and quad_points; converge builds it at N_ref, where its sweep assembles.
 CSV output is deterministic: 17 significant digits, comma separator, LF line
 endings.  Every run echoes its fully resolved config into the output
-directory as config.json: every setting given or defaulted, and the
-quadrature size q that solve and compare ran at.
+directory as config.json: every setting given or defaulted, and spec.q.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -64,7 +65,8 @@ def _is_numerical(exc: Exception) -> bool:
 
 @dataclass
 class RunConfig:
-    """Schema-checked run description with defaults applied."""
+    """Schema-checked run description; a key the config leaves out takes
+    its default here."""
 
     alpha: float
     r: float
@@ -83,7 +85,20 @@ class RunConfig:
     grid_points: int = 1001
 
 
-_KNOWN_KEYS = {field.name for field in fields(RunConfig)}
+# every RunConfig key's kind: a number, a string, a tuple of its choices, or
+# an integer or an ascending list of integers in [least, most].  A least of
+# None leaves the bound to ProblemSpec, as FracParams checks alpha and r.
+_SETTINGS = {
+    "alpha": (float,),
+    "r": (float,),
+    **dict.fromkeys(("b", "c", "f", "output", "k", "k1", "k2"), (str,)),
+    "variant": (("acute", "grave"),),
+    "N": (int, None, MAX_DEGREE),
+    "N_ref": (int, 1, MAX_DEGREE),
+    "Ns": (list, 1, MAX_DEGREE),
+    "quad_points": (int, None, MAX_QUAD_POINTS),
+    "grid_points": (int, 2, MAX_GRID_POINTS),
+}
 
 
 def _require(cond: bool, msg: str):
@@ -91,39 +106,53 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _get_number(raw: dict, key: str, required: bool = True):
-    if key not in raw:
-        _require(not required, f"config: missing required key '{key}'")
-        return None
-    v = raw[key]
-    _require(
-        isinstance(v, (int, float)) and not isinstance(v, bool),
-        f"config: '{key}' must be a number, got {v!r}",
+def _is_number(v) -> bool:
+    """A finite JSON number, so float(v) cannot overflow; not a bool."""
+    return (
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max
     )
-    return v
 
 
 def _is_integral(v) -> bool:
-    """A JSON integer, or a float with a finite integral value; not a bool."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    return isinstance(v, int) or (math.isfinite(v) and v == int(v))
+    """A JSON integer, or a finite float with an integral value; not a bool."""
+    if isinstance(v, int):
+        return not isinstance(v, bool)
+    return _is_number(v) and v == int(v)
 
 
-def _get_int(raw: dict, key: str, required: bool = True):
-    v = _get_number(raw, key, required)
-    if v is None:
-        return None
-    _require(_is_integral(v), f"config: '{key}' must be an integer, got {v!r}")
-    return int(v)
+def _in_range(key: str, v: int, least: Optional[int], most: int) -> int:
+    _require(
+        least is None or v >= least, f"config: {key} must be at least {least}, got {v}"
+    )
+    _require(v <= most, f"config: '{key}' must be at most {most}, got {v}")
+    return v
 
 
-def _get_str(raw: dict, key: str, required: bool = True):
-    if key not in raw:
-        _require(not required, f"config: missing required key '{key}'")
-        return None
-    v = raw[key]
-    _require(isinstance(v, str), f"config: '{key}' must be a string, got {v!r}")
+def _setting(key: str, v):
+    """The value v of key, checked against its row of _SETTINGS."""
+    kind, *bounds = _SETTINGS[key]
+    if kind is float:
+        _require(_is_number(v), f"config: '{key}' must be a finite number, got {v!r}")
+        return float(v)
+    if kind is str:
+        _require(isinstance(v, str), f"config: '{key}' must be a string, got {v!r}")
+    elif kind is int:
+        _require(_is_integral(v), f"config: '{key}' must be an integer, got {v!r}")
+        v = _in_range(key, int(v), *bounds)
+    elif kind is list:
+        _require(
+            isinstance(v, list) and v and all(map(_is_integral, v)),
+            f"config: '{key}' must be a nonempty list of integers, got {v!r}",
+        )
+        v = [_in_range(key, int(n), *bounds) for n in v]
+        _require(
+            all(n2 > n1 for n1, n2 in zip(v[:-1], v[1:])),
+            f"config: '{key}' must be strictly ascending, got {v}",
+        )
+    else:
+        choices = " or ".join(map(repr, kind))
+        _require(v in kind, f"config: '{key}' must be {choices}, got {v!r}")
     return v
 
 
@@ -136,71 +165,18 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config: top level must be a JSON object")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_SETTINGS)
     _require(not unknown, f"config: unknown keys {sorted(unknown)}")
-
-    alpha = _get_number(raw, "alpha")
-    r = _get_number(raw, "r")
-    _require(1.0 < alpha < 2.0, f"config: alpha must lie in (1,2), got {alpha}")
-    _require(0.0 <= r <= 1.0, f"config: r must lie in [0,1], got {r}")
-
-    cfg = RunConfig(
-        alpha=float(alpha),
-        r=float(r),
-        b=_get_str(raw, "b"),
-        c=_get_str(raw, "c"),
-        f=_get_str(raw, "f"),
-        output="",
-        variant=_get_str(raw, "variant", required=False),
-        k=_get_str(raw, "k", required=False),
-        k1=_get_str(raw, "k1", required=False),
-        k2=_get_str(raw, "k2", required=False),
-        N=_get_int(raw, "N", required=False),
-        N_ref=_get_int(raw, "N_ref", required=False),
-        Ns=raw.get("Ns"),
-        quad_points=_get_int(raw, "quad_points", required=False),
-        grid_points=_get_int(raw, "grid_points", required=False),
-    )
-    if cfg.N_ref is None:
-        cfg.N_ref = RunConfig.N_ref
-    if cfg.grid_points is None:
-        cfg.grid_points = RunConfig.grid_points
-
-    out = out_override or _get_str(raw, "output", required=False)
+    if out_override:
+        raw["output"] = out_override
     _require(
-        bool(out), "config: an output directory is required ('output' key or --out)"
+        raw.get("output"),
+        "config: an output directory is required ('output' key or --out)",
     )
-    cfg.output = out
-
-    if cfg.variant is not None:
-        _require(
-            cfg.variant in ("acute", "grave"),
-            f"config: variant must be 'acute' or 'grave', got {cfg.variant!r}",
-        )
-    if cfg.Ns is not None:
-        _require(
-            isinstance(cfg.Ns, list) and cfg.Ns and all(map(_is_integral, cfg.Ns)),
-            f"config: 'Ns' must be a nonempty list of integers, got {cfg.Ns!r}",
-        )
-        cfg.Ns = [int(n) for n in cfg.Ns]
-        _require(
-            all(n2 > n1 for n1, n2 in zip(cfg.Ns[:-1], cfg.Ns[1:])),
-            f"config: 'Ns' must be strictly ascending, got {cfg.Ns}",
-        )
-    _require(cfg.grid_points >= 2, "config: grid_points must be at least 2")
-    _require(cfg.N_ref >= 1, "config: N_ref must be at least 1")
-    _require(cfg.N is None or cfg.N >= 1, "config: N must be at least 1")
-    for key, limit in (
-        ("N", MAX_DEGREE),
-        ("N_ref", MAX_DEGREE),
-        ("quad_points", MAX_QUAD_POINTS),
-        ("grid_points", MAX_GRID_POINTS),
-    ):
-        value = getattr(cfg, key)
-        _require(
-            value is None or value <= limit,
-            f"config: '{key}' must be at most {limit}, got {value}",
-        )
+    required = [f.name for f in fields(RunConfig) if f.default is MISSING]
+    missing = [key for key in required if key not in raw]
+    _require(not missing, f"config: missing required keys {missing}")
+    cfg = RunConfig(**{key: _setting(key, v) for key, v in raw.items()})
 
     if command in ("solve", "converge"):
         _require(cfg.variant is not None, f"config: '{command}' needs a 'variant'")
@@ -228,13 +204,6 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
     return cfg
 
 
-_NUM = "%.17g"
-
-
-def _fmt(v: float) -> str:
-    return _NUM % v
-
-
 def _write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -243,7 +212,7 @@ def _write_text(path: str, text: str):
 def _write_csv(path: str, header: str, x_cells: np.ndarray, columns):
     """The header, then one line per grid point: its x cell from g17_cells,
     so files on one grid share one formatting of it, then the point's value
-    in each of the equal-length columns, formatted as _fmt does.  The file
+    in each of the equal-length columns, formatted as %.17g does.  The file
     is one array of cells and separators with its NUL padding deleted,
     written in one call."""
     n = len(x_cells)
@@ -257,13 +226,12 @@ def _write_csv(path: str, header: str, x_cells: np.ndarray, columns):
         fh.write(f"{header}\n".encode("ascii") + body)
 
 
-def _echo_config(cfg: RunConfig, command: str, q: Optional[int]):
+def _echo_config(cfg: RunConfig, command: str, q: int):
     """config.json: every setting that is set, the command, and the
-    quadrature size q unless it is None."""
+    quadrature size q the run ran at."""
     resolved = {key: val for key, val in asdict(cfg).items() if val is not None}
     resolved["command"] = command
-    if q is not None:
-        resolved["quad_points"] = q
+    resolved["quad_points"] = q
     _write_text(
         os.path.join(cfg.output, "config.json"),
         json.dumps(resolved, indent=2, sort_keys=True) + "\n",
@@ -282,8 +250,8 @@ def _parse_exprs(cfg: RunConfig, keys) -> dict:
 
 
 def _build_spec(cfg: RunConfig, exprs: dict, N: int, variant: str) -> ProblemSpec:
-    # parameter-window and quadrature-size violations are config mistakes,
-    # not numerics
+    # FracParams' parameter window and ProblemSpec's degree and quadrature
+    # size: violations are config mistakes, not numerics
     try:
         fp = solve_beta(cfg.alpha, cfg.r)
         return ProblemSpec(
@@ -339,25 +307,16 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 def cmd_converge(cfg: RunConfig) -> int:
     exprs = _parse_exprs(cfg, ("k", "b", "c", "f"))
-    spec = _build_spec(cfg, exprs, cfg.Ns[0], cfg.variant)
+    # the sweep assembles at N_ref, so that is the degree quad_points must suit
+    spec = _build_spec(cfg, exprs, cfg.N_ref, cfg.variant)
     os.makedirs(cfg.output, exist_ok=True)
-    # the sweep's quadrature size is run_convergence's, not spec.q
-    _echo_config(cfg, "converge", cfg.quad_points)
+    _echo_config(cfg, "converge", spec.q)
 
     report = run_convergence(spec, cfg.Ns, cfg.N_ref)
     lines = ["N,err_L2,rate_L2,err_H1,rate_H1"]
-    for N, e0, r0, e1, r1 in report.rows:
-        lines.append(
-            ",".join(
-                [
-                    str(N),
-                    _fmt(e0),
-                    "" if r0 is None else _fmt(r0),
-                    _fmt(e1),
-                    "" if r1 is None else _fmt(r1),
-                ]
-            )
-        )
+    for N, *values in report.rows:
+        cells = ["" if v is None else "%.17g" % v for v in values]
+        lines.append(",".join([str(N)] + cells))
     lines.append(f"# pred,{report.predicted[0]:.2f},{report.predicted[1]:.2f}")
     _write_text(os.path.join(cfg.output, "convergence.csv"), "\n".join(lines) + "\n")
     return 0

@@ -65,9 +65,10 @@ def run_convergence(
     """Solve once at the reference degree N_ref, then at each N, reporting
     errors of the expansion against the reference and the log-ratio rates.
 
-    Every degree shares the reference's quadrature size q = max(quad_points,
-    N_ref + 20), so the system is assembled once, at N_ref, and degree N
-    solves its leading (N+1)x(N+1) block.
+    Every degree shares the reference's quadrature size q =
+    replace(spec_base, N=N_ref).q, so the system is assembled once, at N_ref,
+    and degree N solves its leading (N+1)x(N+1) block.  A quad_points below
+    N_ref + 20 is a ValueError, as in that spec.  spec_base.N is not used.
     """
     Ns = [int(n) for n in Ns]
     if not Ns:
@@ -78,8 +79,8 @@ def run_convergence(
         raise ValueError(
             f"run_convergence: max degree {max(Ns)} must stay below N_ref={N_ref}"
         )
-    q = max(spec_base.quad_points or 0, N_ref + 20)
-    spec_ref = replace(spec_base, N=N_ref, quad_points=q)
+    spec_ref = replace(spec_base, N=N_ref)
+    q = spec_ref.q
     try:
         system = assemble_system(spec_ref)
         phi_ref = solve(spec_ref, system).phi

@@ -27,11 +27,8 @@ class FracParams:
     c_star_star: float
 
     def __post_init__(self):
-        a, b, r = self.alpha, self.beta, self.r
-        if not (1.0 < a < 2.0):
-            raise ValueError(f"FracParams: alpha must lie in (1,2), got {a}")
-        if not (0.0 <= r <= 1.0):
-            raise ValueError(f"FracParams: r must lie in [0,1], got {r}")
+        a, b = self.alpha, self.beta
+        _check_window(a, self.r)
         tol = 1e-9
         if not (a - 1.0 - tol <= b <= 1.0 + tol and a - b <= 1.0 + tol):
             raise ValueError(
@@ -43,6 +40,14 @@ class FracParams:
             raise ValueError(
                 f"FracParams: c_star_star must be negative, got {self.c_star_star}"
             )
+
+
+def _check_window(alpha: float, r: float):
+    """The window of the theory: alpha in (1,2), r in [0,1]."""
+    if not (1.0 < alpha < 2.0):
+        raise ValueError(f"FracParams: alpha must lie in (1,2), got {alpha}")
+    if not (0.0 <= r <= 1.0):
+        raise ValueError(f"FracParams: r must lie in [0,1], got {r}")
 
 
 def _denominator(alpha: float, beta: float) -> float:
@@ -58,12 +63,10 @@ def solve_beta(alpha: float, r: float) -> FracParams:
 
     r is strictly decreasing in beta on the window, with r=1 at beta=alpha-1
     and r=0 at beta=1, so the root is unique.  The interval is shrunk to
-    width 1e-14.
+    width 1e-14.  The window is checked first: outside it the bisection can
+    divide by zero (alpha 0, r 1) or take the sine of an infinity.
     """
-    if not (1.0 < alpha < 2.0):
-        raise ValueError(f"solve_beta: alpha must lie in (1,2), got {alpha}")
-    if not (0.0 <= r <= 1.0):
-        raise ValueError(f"solve_beta: r must lie in [0,1], got {r}")
+    _check_window(alpha, r)
     lo, hi = alpha - 1.0, 1.0
     if r >= 1.0:
         beta = lo
@@ -103,7 +106,9 @@ def predicted_rates(
     advection coefficient vanishes identically, and the same min with -1 in
     place of +1 otherwise.  Analytic data passes s_f = math.inf so only the
     structural terms bind.  The acute variant yields (s~+alpha, s~+alpha-1),
-    the grave variant (s~+alpha, s~+1).
+    the grave variant (s~+alpha, s~+1).  The formula assumes a smooth
+    diffusivity and does not see k at all, so for a k with a jump these
+    numbers are not a prediction.
     """
     a, b = fp.alpha, fp.beta
     shift = 1.0 if b_is_zero else -1.0

@@ -194,6 +194,22 @@ def test_converge_single_degree(tmp_path):
     assert len(lines) == 3  # header, one row, pred footer
 
 
+def test_converge_quad_points_below_n_ref_exits_1(tmp_path, capsys):
+    # the sweep assembles at N_ref, so quad_points must reach N_ref + 20; it
+    # is not raised to that silently
+    cfg = _base(tmp_path, Ns=[8, 10], N_ref=40, quad_points=50)
+    assert main(["converge", "--config", cfg]) == 1
+    assert "quad_points must be at least N+20 = 60" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_converge_nonpositive_first_degree_exits_1(tmp_path, capsys):
+    cfg = _base(tmp_path, Ns=[0, 8], N_ref=12)
+    assert main(["converge", "--config", cfg]) == 1
+    assert "Ns must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------ compare
 
 
@@ -267,6 +283,39 @@ def test_compare_single_diffusivity(tmp_path):
     assert main(["compare", "--config", str(tmp_path / "run.json")]) == 0
     assert (tmp_path / "out" / "compare.csv").exists()
     assert not (tmp_path / "out" / "compare_k1.csv").exists()
+
+
+# ------------------------------------------------------------- config echo
+
+
+def _readme_config():
+    text = (ROOT / "README.md").read_text()
+    return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+# config.json of each command on the README's config, minus "output": every
+# setting given or defaulted, the command, and the q the run ran at
+README_ECHO_COMMON = {
+    "N": 24, "N_ref": 40, "Ns": [8, 10, 12, 14, 16], "alpha": 1.3,
+    "b": "exp(x)", "c": "5+sin(x)", "f": "1", "grid_points": 1001,
+    "k": "1+2*x", "r": 0.5, "variant": "acute",
+}
+README_ECHO = {
+    "solve": {**README_ECHO_COMMON, "command": "solve", "quad_points": 44},
+    # the sweep assembles at N_ref = 40
+    "converge": {**README_ECHO_COMMON, "command": "converge", "quad_points": 60},
+    "compare": {**README_ECHO_COMMON, "command": "compare", "quad_points": 44},
+}
+
+
+@pytest.mark.parametrize("command", sorted(README_ECHO))
+def test_readme_config_echo(tmp_path, command):
+    cfg = _write_config(tmp_path / "run.json", **_readme_config())
+    out = tmp_path / command
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert echo.pop("output") == str(out)
+    assert echo == README_ECHO[command]
 
 
 # ---------------------------------------------------------------- CSV bytes
@@ -383,6 +432,7 @@ def test_format_column_exact_cases(values):
         dict(alpha=2.5, command="compare"),
         dict(r=1.5, command="compare"),
         dict(quad_points=10, command="compare"),
+        dict(variant="oblique", command="compare"),
     ],
 )
 def test_config_errors_exit_1(tmp_path, capsys, mutate):

@@ -88,6 +88,12 @@ def test_run_convergence_validates_degrees():
         run_convergence(spec, [])
 
 
+def test_run_convergence_quad_points_below_n_ref_raises():
+    # every degree shares the reference's q, which must reach N_ref + 20
+    with pytest.raises(ValueError, match="quad_points"):
+        run_convergence(_case_a(quad_points=50), [8, 10], N_ref=40)
+
+
 def test_run_convergence_report_shape():
     rep = run_convergence(_case_a(), [6, 8, 10], N_ref=20)
     assert isinstance(rep, ConvergenceReport)

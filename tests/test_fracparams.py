@@ -77,6 +77,14 @@ def test_invalid_inputs():
         FracParams(1.5, 0.5, 0.75, 1.0)  # c** must be negative
 
 
+@pytest.mark.parametrize("alpha, r", [(0.0, 1.0), (math.inf, 0.5), (-math.inf, 0.5)])
+def test_solve_beta_checks_window_before_bisecting(alpha, r):
+    # unchecked, alpha 0 at r 1 zeroes the denominator of c** and an
+    # infinite alpha reaches math.sin; both must name the window instead
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        solve_beta(alpha, r)
+
+
 def test_mu_values_and_growth():
     fp = solve_beta(1.3, 0.5)
     assert abs(mu(fp, 0) - (-0.40744316991768587)) < 1e-13
