@@ -10,9 +10,9 @@ The JSON config carries the problem parameters and coefficient expressions;
 EvalError); any other exception is a fault of the program and propagates.
 load_config reads every key through one table of kinds and integer ranges,
 _SETTINGS; settings above MAX_DEGREE (N, N_ref, Ns), MAX_QUAD_POINTS and
-MAX_GRID_POINTS are config errors.  Each command builds its ProblemSpec
-through _build_spec, so FracParams checks alpha and r and ProblemSpec checks
-N and quad_points; converge builds it at N_ref, where its sweep assembles.
+MAX_GRID_POINTS are config errors.  Each command parses every expression set
+and builds its ProblemSpec (_build_spec: FracParams checks alpha and r,
+ProblemSpec N and quad_points, at N_ref for converge) before any output.
 CSV output is deterministic: 17 significant digits, comma separator, LF line
 endings.  Every run echoes its fully resolved config into the output
 directory as config.json: every setting given or defaulted, and spec.q.
@@ -190,13 +190,13 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
             f"config: max(Ns)={max(cfg.Ns)} must stay below N_ref={cfg.N_ref}",
         )
     if command == "compare":
-        has_pair = cfg.k1 is not None and cfg.k2 is not None
+        pair = (cfg.k1, cfg.k2)
         _require(
-            has_pair or cfg.k is not None,
+            cfg.k is not None or None not in pair,
             "config: 'compare' needs either 'k' or the pair 'k1' and 'k2'",
         )
         _require(
-            not (has_pair and cfg.k is not None),
+            cfg.k is None or pair == (None, None),
             "config: give 'k' or 'k1'/'k2', not both",
         )
         if cfg.N is None:
@@ -238,12 +238,13 @@ def _echo_config(cfg: RunConfig, command: str, q: int):
     )
 
 
-def _parse_exprs(cfg: RunConfig, keys) -> dict:
+def _parse_exprs(cfg: RunConfig) -> dict:
+    """Every expression setting parsed, None where unset, read or not."""
     out = {}
-    for key in keys:
+    for key in ("k", "k1", "k2", "b", "c", "f"):
         src = getattr(cfg, key)
         try:
-            out[key] = parse(src)
+            out[key] = None if src is None else parse(src)
         except ParseError as exc:
             raise ConfigError(f"config: bad expression for '{key}': {exc}") from None
     return out
@@ -269,7 +270,7 @@ def _build_spec(cfg: RunConfig, exprs: dict, N: int, variant: str) -> ProblemSpe
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    exprs = _parse_exprs(cfg, ("k", "b", "c", "f"))
+    exprs = _parse_exprs(cfg)
     spec = _build_spec(cfg, exprs, cfg.N, cfg.variant)
     fp = spec.fp
     os.makedirs(cfg.output, exist_ok=True)
@@ -306,7 +307,7 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    exprs = _parse_exprs(cfg, ("k", "b", "c", "f"))
+    exprs = _parse_exprs(cfg)
     # the sweep assembles at N_ref, so that is the degree quad_points must suit
     spec = _build_spec(cfg, exprs, cfg.N_ref, cfg.variant)
     os.makedirs(cfg.output, exist_ok=True)
@@ -323,8 +324,8 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    labels = ["k1", "k2"] if cfg.k1 is not None else ["k"]
-    exprs = _parse_exprs(cfg, labels + ["b", "c", "f"])
+    labels = ["k"] if cfg.k is not None else ["k1", "k2"]
+    exprs = _parse_exprs(cfg)
     ks = [exprs[label] for label in labels]
     # run_comparison solves each of ks in both variants; the spec's own k
     # and variant are not used

@@ -16,7 +16,9 @@ recurrence (Golub & Welsch 1969; Gautschi, Orthogonal Polynomials, 2004).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,12 +124,22 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
     nodes to first order through S' = 2 sum_{k<n} p_k p_k': near an
     endpoint whose exponent nears -1 the largest weight is sensitive to the
     rounding of its node.  A nonpositive or non-finite weight raises
-    QuadratureError.
+    QuadratureError.  Rules are memoised per process by the exact exponents
+    and n, the last _RULE_CACHE_SIZE of them (4 MB at 4096 points each),
+    so their arrays are read-only: every caller shares them.
     """
     p = as_params(p)
-    a, b = p.a, p.b
     if n < 1:
         raise ValueError(f"gauss_jacobi: need at least one point, got n={n}")
+    return _rule(p, operator.index(n))
+
+
+_RULE_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _rule(p: JacobiParams, n: int) -> QuadratureRule:
+    a, b = p.a, p.b
     d, e = _jacobi_matrix(a, b, n)
     x = eigh_tridiagonal(d, e[1:n], eigvals_only=True)
 
@@ -148,4 +160,6 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
             f"gauss_jacobi: nonpositive or non-finite weight for n={n}, (a={a}, b={b})"
         )
     # eigh_tridiagonal returns the eigenvalues in ascending order
-    return QuadratureRule(p, x - h, weights)
+    nodes = x - h
+    nodes.flags.writeable = weights.flags.writeable = False
+    return QuadratureRule(p, nodes, weights)

@@ -69,6 +69,17 @@ def test_traced_case_a_solve(monkeypatch):
     assert layers >= set(SOLVE_LAYERS)
 
 
+def test_traced_repeat_solve_counts_every_rule(monkeypatch):
+    # a second solve finds its rules in gauss_jacobi's memo; the memo sits
+    # behind the traced binding, so each lookup is still a timed call
+    fracspec.solver.solve(_case_a_spec(8))
+    tracer = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
+    assert tracer.counts["jacobi.gauss_jacobi.calls"] == 4
+    rule_spans = [span for span in tracer.spans if span[0] == "jacobi.gauss_jacobi"]
+    assert len(rule_spans) == 4
+    assert all(span[2] >= span[1] for span in rule_spans)
+
+
 def test_traced_convergence_sweep(monkeypatch):
     tracer = _traced(
         monkeypatch,

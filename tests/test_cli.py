@@ -526,6 +526,35 @@ def test_compare_conflicting_k_exits_1(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "converge"])
+def test_unread_bad_expression_exits_1(tmp_path, capsys, command):
+    # k1 is a compare setting, but a bad one is caught under every command
+    cfg = _base(tmp_path, N=8, Ns=[8, 10], k1="1+*x")
+    assert main([command, "--config", cfg]) == 1
+    assert "bad expression for 'k1'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "single, key, message",
+    [
+        (None, "k1", "the pair 'k1' and 'k2'"),
+        (None, "k2", "the pair 'k1' and 'k2'"),
+        ("1+2*x", "k1", "not both"),
+        ("1+2*x", "k2", "not both"),
+    ],
+)
+def test_compare_lone_pair_member_exits_1(tmp_path, capsys, single, key, message):
+    cfg = _base(tmp_path, variant=None, k=single, N=8, **{key: "1+x"})
+    raw = json.loads((tmp_path / "run.json").read_text())
+    _write_config(
+        tmp_path / "run.json", **{k: v for k, v in raw.items() if v is not None}
+    )
+    assert main(["compare", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_nonpositive_degree_exits_1(tmp_path, capsys):
     cfg = _base(tmp_path, N=0, grid_points=11)
     assert main(["compare", "--config", cfg]) == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
 from fracspec import JacobiParams, beta, eval_Ghat_table, gauss_jacobi, solve_beta
+from fracspec.jacobi import _RULE_CACHE_SIZE, _rule
 from reference_math import (
     deriv_G,
     eval_G,
@@ -246,6 +247,43 @@ def test_gauss_jacobi_contract_sizes():
     assert rule.nodes.size == 256
     with pytest.raises(ValueError):
         gauss_jacobi((0.0, 0.0), 0)
+
+
+def test_gauss_jacobi_memo_shares_read_only_rules():
+    first = gauss_jacobi((0.35, -0.65), 28)
+    again = gauss_jacobi((0.35, -0.65), 28)
+    assert np.array_equal(first.nodes, again.nodes)
+    assert np.array_equal(first.weights, again.weights)
+    # a shared rule cannot be corrupted by one of its callers
+    for arr in (again.nodes, again.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
+
+
+def test_gauss_jacobi_memo_key_is_exact():
+    _rule.cache_clear()
+    gauss_jacobi((0.3, 0.7), 9)
+    gauss_jacobi(JacobiParams(0.3, 0.7), 9)
+    info = _rule.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # exponents a rounding apart name a different rule, not the cached one
+    gauss_jacobi((0.3, np.nextafter(0.7, 1.0)), 9)
+    assert _rule.cache_info().currsize == 2
+    # a non-integral size is refused whether or not its integer is cached
+    with pytest.raises(TypeError):
+        gauss_jacobi((0.3, 0.7), 9.0)
+
+
+def test_gauss_jacobi_memo_is_bounded():
+    _rule.cache_clear()
+    for n in range(1, _RULE_CACHE_SIZE + 11):
+        gauss_jacobi((0.0, 0.0), n)
+    assert _RULE_CACHE_SIZE == 64
+    assert _rule.cache_info().currsize == 64
+    # the least recently used rules went first
+    misses = _rule.cache_info().misses
+    gauss_jacobi((0.0, 0.0), 1)
+    assert _rule.cache_info().misses == misses + 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,7 @@ import scipy.linalg
 from fracspec.assembly import ProblemSpec, assemble_system
 from fracspec.coeffexpr import parse
 from fracspec.fracparams import solve_beta
-from fracspec.jacobi import JacobiParams, eval_Ghat_table
+from fracspec.jacobi import JacobiParams, _rule, eval_Ghat_table
 from fracspec.solver import Solution, solve
 from fracspec.spaces import error_norms
 from reference_math import gamma
@@ -110,6 +110,21 @@ def test_solve_of_a_given_system():
     assert given.diagnostics == fresh.diagnostics
     with pytest.raises(ValueError, match="does not match"):
         solve(spec, system.leading(10))
+
+
+def test_memoised_rules_solve_as_fresh_ones():
+    # a solve on rules built afresh and a solve on the same rules read back
+    # from the memo give the same bits
+    spec = ProblemSpec(fp=solve_beta(1.3, 0.5), variant="acute",
+                       k=lambda x: 1.0 + 2.0 * x, b=np.exp,
+                       c=lambda x: 5.0 + np.sin(x), f=_one, N=40)
+    _rule.cache_clear()
+    cold = solve(spec)
+    misses = _rule.cache_info().misses
+    warm = solve(spec)
+    assert _rule.cache_info().misses == misses
+    assert np.array_equal(cold.phi.coeffs, warm.phi.coeffs)
+    assert cold.diagnostics == warm.diagnostics
 
 
 def test_variants_agree_for_constant_k():
