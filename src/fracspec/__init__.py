@@ -23,7 +23,6 @@ from .fracparams import FracParams, mu, predicted_rates, solve_beta
 from .coeffexpr import EvalError, Expr, ParseError, breakpoints, parse, pretty
 from .spaces import (
     CoeffVec,
-    WeightSpec,
     error_norms,
     eval_solution,
     project,
@@ -47,6 +46,7 @@ from .solver import Solution, solve
 from .experiments import (
     ComparisonReport,
     ConvergenceReport,
+    check_degrees,
     coeff_is_zero,
     observed_rate,
     run_comparison,
@@ -74,7 +74,6 @@ __all__ = [
     "parse",
     "pretty",
     "CoeffVec",
-    "WeightSpec",
     "error_norms",
     "eval_solution",
     "project",
@@ -98,6 +97,7 @@ __all__ = [
     "solve",
     "ComparisonReport",
     "ConvergenceReport",
+    "check_degrees",
     "coeff_is_zero",
     "observed_rate",
     "run_comparison",

@@ -1,16 +1,17 @@
 """Petrov-Galerkin system assembly.
 
-Trial functions are u = omega * Ghat_i^{(alpha-beta,beta)}, test functions
-Ghat_j^{(beta,alpha-beta)} paired under the omega* weight.  Applying the
-derivative and fractional-integral identities collapses every term of the
-bilinear form to a plain weighted integral of products of shifted Jacobi
+Trial functions are u = omega * Ghat_i^{(alpha-beta,beta)}, in the family
+FracParams.trial, and test functions are Ghat_j^{(beta,alpha-beta)}, in
+FracParams.test, paired under the omega* weight.  Applying the derivative
+and fractional-integral identities collapses every term of the bilinear
+form to a plain weighted integral of products of shifted Jacobi
 polynomials, each with its own Gauss-Jacobi weight:
 
-    B0 acute:  exponents (alpha-beta-1, beta-1)
-    B0 grave:  exponents (beta-1, alpha-beta-1)
+    B0 acute:  exponents (alpha-beta-1, beta-1), trial shifted down by one
+    B0 grave:  exponents (beta-1, alpha-beta-1), test shifted down by one
     B1:        exponents (alpha-1, alpha-1)
     B2:        exponents (alpha, alpha)
-    rhs:       exponents (beta, alpha-beta)
+    rhs:       exponents (beta, alpha-beta), the test family
 
 The acute variant keeps the diffusivity k inside the fractional integral;
 the grave variant applies k outside it.  They agree when k is constant.
@@ -131,11 +132,13 @@ def composite_rule(p, n: int, breaks) -> QuadratureRule:
     1e-9.
     """
     p = as_params(p)
-    breaks = sorted(set(float(b) for b in breaks))
+    breaks = [float(b) for b in breaks]
+    # written so that NaN fails too
+    if not all(0.0 < b < 1.0 for b in breaks):
+        raise ValueError(f"composite_rule: breaks must lie inside (0,1), got {breaks}")
+    breaks = sorted(set(breaks))
     if not breaks:
         return gauss_jacobi(p, n)
-    if breaks[0] <= 0.0 or breaks[-1] >= 1.0:
-        raise ValueError(f"composite_rule: breaks must lie inside (0,1), got {breaks}")
     a, b = p.a, p.b
     edges = [0.0] + breaks + [1.0]
     left_rule = gauss_jacobi(JacobiParams(0.0, b), n)
@@ -184,11 +187,14 @@ def k_floor(system: DiscreteSystem) -> tuple[float, float]:
     return float(system.k_values[idx]), float(system.k_nodes[idx])
 
 
+def _shifted(p: JacobiParams) -> JacobiParams:
+    """The family one below p in each exponent."""
+    return JacobiParams(p.a - 1.0, p.b - 1.0)
+
+
 def _b0_params(spec: ProblemSpec) -> JacobiParams:
-    a, b = spec.fp.alpha, spec.fp.beta
-    if spec.variant == "acute":
-        return JacobiParams(a - b - 1.0, b - 1.0)
-    return JacobiParams(b - 1.0, a - b - 1.0)
+    fp = spec.fp
+    return _shifted(fp.trial if spec.variant == "acute" else fp.test)
 
 
 def _norm_ratios(fp: FracParams, N: int) -> np.ndarray:
@@ -235,10 +241,10 @@ def assemble_B1(spec: ProblemSpec) -> np.ndarray:
     """Advection block: pairs b times the derivative of the weighted trial
     function against the test polynomial; combined weight (alpha-1, alpha-1)."""
     fp, N = spec.fp, spec.N
-    a, b = fp.alpha, fp.beta
+    a = fp.alpha
     rule, bv = _rule_for(spec, JacobiParams(a - 1.0, a - 1.0), spec.b)
-    test = eval_Ghat_table(JacobiParams(b, a - b), N, rule.nodes)
-    dtrial = eval_Ghat_table(JacobiParams(a - b - 1.0, b - 1.0), N + 1, rule.nodes)[:, 1:]
+    test = eval_Ghat_table(fp.test, N, rule.nodes)
+    dtrial = eval_Ghat_table(_shifted(fp.trial), N + 1, rule.nodes)[:, 1:]
     idx = np.arange(N + 1)
     scale = -(idx + 1.0) * _norm_ratios(fp, N)
     return (test * (rule.weights * bv)[:, None]).T @ (dtrial * scale[None, :])
@@ -247,19 +253,17 @@ def assemble_B1(spec: ProblemSpec) -> np.ndarray:
 def assemble_B2(spec: ProblemSpec) -> np.ndarray:
     """Reaction block: c against trial times test, weight (alpha, alpha)."""
     fp, N = spec.fp, spec.N
-    a, b = fp.alpha, fp.beta
-    rule, cv = _rule_for(spec, JacobiParams(a, a), spec.c)
-    trial = eval_Ghat_table(JacobiParams(a - b, b), N, rule.nodes)
-    test = eval_Ghat_table(JacobiParams(b, a - b), N, rule.nodes)
+    rule, cv = _rule_for(spec, JacobiParams(fp.alpha, fp.alpha), spec.c)
+    trial = eval_Ghat_table(fp.trial, N, rule.nodes)
+    test = eval_Ghat_table(fp.test, N, rule.nodes)
     return (test * (rule.weights * cv)[:, None]).T @ trial
 
 
 def assemble_rhs(spec: ProblemSpec) -> np.ndarray:
     """Load vector: entry j = integral of omega* f Ghat_j^{(beta,alpha-beta)}."""
     fp, N = spec.fp, spec.N
-    a, b = fp.alpha, fp.beta
-    rule, fv = _rule_for(spec, JacobiParams(b, a - b), spec.f)
-    test = eval_Ghat_table(JacobiParams(b, a - b), N, rule.nodes)
+    rule, fv = _rule_for(spec, fp.test, spec.f)
+    test = eval_Ghat_table(fp.test, N, rule.nodes)
     return test.T @ (rule.weights * fv)
 
 

@@ -34,6 +34,8 @@ _FUNCS = {
     "abs": np.abs,
 }
 
+_OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
 _MAX_DEPTH = 400
 
 
@@ -72,6 +74,19 @@ class Expr:
 
     def _fmt(self, ctx: int) -> str:
         raise NotImplementedError
+
+
+def _checked(node: Expr, fn, *args) -> np.ndarray:
+    """fn(*args), where a floating-point hazard or a non-finite value is an
+    EvalError naming node; gradual underflow is harmless."""
+    try:
+        with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
+            v = fn(*args)
+    except FloatingPointError as exc:
+        raise EvalError(f"domain error evaluating '{node.pretty()}': {exc}") from None
+    if not np.all(np.isfinite(v)):
+        raise EvalError(f"non-finite value from '{node.pretty()}'")
+    return v
 
 
 def _wrap(s: str, prec: int, ctx: int) -> str:
@@ -126,26 +141,7 @@ class BinOp(Expr):
         self.right = right
 
     def __call__(self, x):
-        a = self.left(x)
-        b = self.right(x)
-        try:
-            # gradual underflow is harmless; the true hazards raise
-            with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
-                if self.op == "+":
-                    v = a + b
-                elif self.op == "-":
-                    v = a - b
-                elif self.op == "*":
-                    v = a * b
-                elif self.op == "/":
-                    v = a / b
-                else:
-                    v = np.power(a, b)
-        except FloatingPointError as exc:
-            raise EvalError(f"domain error evaluating '{self.pretty()}': {exc}") from None
-        if not np.all(np.isfinite(v)):
-            raise EvalError(f"non-finite value from '{self.pretty()}'")
-        return v
+        return _checked(self, _OPS[self.op], self.left(x), self.right(x))
 
     def _collect_breaks(self, out):
         self.left._collect_breaks(out)
@@ -168,15 +164,7 @@ class Call(Expr):
         self.arg = arg
 
     def __call__(self, x):
-        v = self.arg(x)
-        try:
-            with np.errstate(divide="raise", invalid="raise", over="raise", under="ignore"):
-                out = _FUNCS[self.name](v)
-        except FloatingPointError as exc:
-            raise EvalError(f"domain error evaluating '{self.pretty()}': {exc}") from None
-        if not np.all(np.isfinite(out)):
-            raise EvalError(f"non-finite value from '{self.pretty()}'")
-        return out
+        return _checked(self, _FUNCS[self.name], self.arg(x))
 
     def _collect_breaks(self, out):
         self.arg._collect_breaks(out)
@@ -224,6 +212,7 @@ class _Parser:
         self.src = src
         self.pos = 0
         self.depth = 0
+        self.x_reads = 0  # occurrences of x parsed so far
 
     def _byte_offset(self, pos=None) -> int:
         if pos is None:
@@ -307,6 +296,7 @@ class _Parser:
         if ch.isalpha() or ch == "_":
             name = self.ident()
             if name == "x":
+                self.x_reads += 1
                 return Var()
             if self._peek() != "(":
                 raise ParseError(
@@ -328,7 +318,9 @@ class _Parser:
         raise ParseError(f"expected a value, found '{found}'", self._byte_offset())
 
     def piecewise(self, start: int) -> Expr:
+        x_reads_before = self.x_reads
         x0_expr = self.expr()
+        x0_reads_x = self.x_reads != x_reads_before
         self._expect(";")
         left = self.expr()
         self._expect(";")
@@ -339,7 +331,7 @@ class _Parser:
                 self._byte_offset(),
             )
         self._expect(")")
-        if _has_var(x0_expr):
+        if x0_reads_x:
             raise ParseError(
                 "piecewise breakpoint must be a constant expression",
                 self._byte_offset(start),
@@ -387,20 +379,6 @@ class _Parser:
         if not math.isfinite(value):
             raise ParseError(f"number '{text}' overflows", self._byte_offset(start))
         return Num(value)
-
-
-def _has_var(e: Expr) -> bool:
-    if isinstance(e, Var):
-        return True
-    if isinstance(e, Neg):
-        return _has_var(e.child)
-    if isinstance(e, BinOp):
-        return _has_var(e.left) or _has_var(e.right)
-    if isinstance(e, Call):
-        return _has_var(e.arg)
-    if isinstance(e, Piecewise):
-        return _has_var(e.left) or _has_var(e.right)
-    return False
 
 
 def _affine(e: Expr):
@@ -458,7 +436,8 @@ def sample(fn, x: np.ndarray) -> np.ndarray:
     fn is called once on the whole array.  A callable that accepts only
     scalars (TypeError or ValueError) is evaluated point by point, and a
     constant result is broadcast.  An EvalError is a domain failure of the
-    coefficient itself and propagates at once.
+    coefficient itself and propagates at once; a NaN or infinite value is
+    one too, an EvalError naming the first point that gives it.
     """
     try:
         vals = np.asarray(fn(x), dtype=float)
@@ -468,6 +447,10 @@ def sample(fn, x: np.ndarray) -> np.ndarray:
         vals = np.array([float(fn(xi)) for xi in x])
     if vals.shape != x.shape:
         vals = np.broadcast_to(vals, x.shape).astype(float)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = np.argmin(finite)  # the first non-finite value
+        raise EvalError(f"coefficient is {vals.flat[i]} at x = {x.flat[i]:.17g}")
     return vals
 
 

@@ -59,6 +59,21 @@ def coeff_is_zero(fn) -> bool:
     return bool(np.max(np.abs(sample(fn, xs))) == 0.0)
 
 
+def check_degrees(Ns: Sequence[int], N_ref: int) -> list[int]:
+    """Ns as a list of ints; a ValueError unless it is nonempty, strictly
+    ascending, and each degree is at least 1 and below N_ref."""
+    Ns = [int(n) for n in Ns]
+    if not Ns:
+        raise ValueError("Ns: need at least one degree")
+    if Ns[0] < 1:
+        raise ValueError(f"Ns: each degree must be at least 1, got {Ns}")
+    if any(n2 <= n1 for n1, n2 in zip(Ns[:-1], Ns[1:])):
+        raise ValueError(f"Ns: degrees must be strictly ascending, got {Ns}")
+    if Ns[-1] >= N_ref:
+        raise ValueError(f"Ns: max degree {Ns[-1]} must stay below N_ref={N_ref}")
+    return Ns
+
+
 def run_convergence(
     spec_base: ProblemSpec, Ns: Sequence[int], N_ref: int = 40
 ) -> ConvergenceReport:
@@ -67,18 +82,11 @@ def run_convergence(
 
     Every degree shares the reference's quadrature size q =
     replace(spec_base, N=N_ref).q, so the system is assembled once, at N_ref,
-    and degree N solves its leading (N+1)x(N+1) block.  A quad_points below
-    N_ref + 20 is a ValueError, as in that spec.  spec_base.N is not used.
+    and degree N solves its leading (N+1)x(N+1) block.  Ns failing
+    check_degrees, or a quad_points below N_ref + 20, is a ValueError raised
+    before any assembly.  spec_base.N is not used.
     """
-    Ns = [int(n) for n in Ns]
-    if not Ns:
-        raise ValueError("run_convergence: need at least one degree")
-    if any(n2 <= n1 for n1, n2 in zip(Ns[:-1], Ns[1:])):
-        raise ValueError(f"run_convergence: degrees must be ascending, got {Ns}")
-    if max(Ns) >= N_ref:
-        raise ValueError(
-            f"run_convergence: max degree {max(Ns)} must stay below N_ref={N_ref}"
-        )
+    Ns = check_degrees(Ns, N_ref)
     spec_ref = replace(spec_base, N=N_ref)
     q = spec_ref.q
     try:

@@ -9,6 +9,9 @@ whose left side is a strictly monotone function of beta on the admissible
 window [alpha-1, 1].  The same denominator defines the negative constant
 c** = sin(pi alpha) / (sin(pi(alpha-beta)) + sin(pi beta)), which scales the
 eigenvalue sequence mu_k.
+
+FracParams also names the Petrov-Galerkin pair: .trial for the trial
+functions omega * Ghat^{(alpha-beta,beta)}, .test for Ghat^{(beta,alpha-beta)}.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .jacobi import JacobiParams
 from .specfun import log_gamma
 
 
@@ -35,11 +39,28 @@ class FracParams:
                 f"FracParams: beta={b} violates alpha-1 <= beta <= 1, "
                 f"alpha-beta <= 1 for alpha={a}"
             )
+        # the window above holds to 1e-9, so near alpha = 1 it admits a
+        # beta at or past 0 or alpha; omega must still vanish at both ends
+        if not (a - b > 0 and b > 0):
+            raise ValueError(
+                f"FracParams: trial exponents must be positive, got "
+                f"alpha-beta={a - b}, beta={b}"
+            )
         # c** < 0 holds automatically on this window; assert, don't re-derive
         if not self.c_star_star < 0:
             raise ValueError(
                 f"FracParams: c_star_star must be negative, got {self.c_star_star}"
             )
+
+    @property
+    def trial(self) -> JacobiParams:
+        """Basis of phi in u = omega * phi; omega has these exponents."""
+        return JacobiParams(self.alpha - self.beta, self.beta)
+
+    @property
+    def test(self) -> JacobiParams:
+        """Basis of the test functions: the trial exponents swapped."""
+        return JacobiParams(self.beta, self.alpha - self.beta)
 
 
 def _check_window(alpha: float, r: float):

@@ -9,7 +9,7 @@ import numpy as np
 
 from .assembly import DiscreteSystem, ProblemSpec, assemble_system, k_floor
 from .linsolve import condition_estimate, factor, lu_solve
-from .spaces import CoeffVec, WeightSpec, eval_solution
+from .spaces import CoeffVec, eval_solution
 
 
 @dataclass(frozen=True)
@@ -24,15 +24,13 @@ class Solution:
 
     def u(self, x):
         """Pointwise solution u(x) = omega(x) phi(x); zero at both endpoints."""
-        return eval_solution([self.phi], WeightSpec(self.spec.fp), x)[0]
+        return eval_solution([self.phi], x)[0]
 
 
 def eval_solutions(sols: Sequence[Solution], x) -> list:
     """u(x) of each solution, all from one basis table on x; the solutions
     must share fp and N.  Each u equals its own Solution.u(x) bit for bit."""
-    if not sols:
-        return []
-    return eval_solution([s.phi for s in sols], WeightSpec(sols[0].spec.fp), x)
+    return eval_solution([s.phi for s in sols], x)
 
 
 def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solution:
@@ -57,10 +55,9 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
         np.linalg.norm(system.matrix, np.inf) * np.linalg.norm(phi_vec, np.inf)
     )
     residual = float(np.linalg.norm(res, np.inf) / denom) if denom > 0 else 0.0
-    trial = WeightSpec(spec.fp).trial_params
     return Solution(
         spec=spec,
-        phi=CoeffVec(trial, phi_vec),
+        phi=CoeffVec(spec.fp.trial, phi_vec),
         diagnostics={
             "k_min": k_min,
             "k_min_location": k_at,

@@ -1,5 +1,8 @@
 """Functions as Jacobi coefficient vectors: weighted projection, Sobolev
 norms read off coefficient decay, and pointwise evaluation of u = omega*phi.
+
+A vector carries its basis (a, b); for a solution's phi that is
+FracParams.trial, whose weight (1-x)^a x^b is omega.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from typing import Sequence
 import numpy as np
 
 from .coeffexpr import breaks_of, sample
-from .fracparams import FracParams
 from .jacobi import JacobiParams, as_params, eval_Ghat_table, gauss_jacobi
 
 
@@ -33,42 +35,6 @@ class CoeffVec:
     @property
     def degree(self) -> int:
         return self.coeffs.size - 1
-
-
-@dataclass(frozen=True)
-class WeightSpec:
-    """The trial weight omega = (1-x)^(alpha-beta) x^beta, which vanishes at
-    0 and 1, and the trial and test basis exponents (the test family swaps
-    them)."""
-
-    fp: FracParams
-
-    def __post_init__(self):
-        a, b = self.fp.alpha, self.fp.beta
-        if not (a - b > 0 and b > 0):
-            raise ValueError(
-                f"WeightSpec: weight exponents must be positive, got "
-                f"alpha-beta={a - b}, beta={b}"
-            )
-
-    @property
-    def trial_params(self) -> JacobiParams:
-        return JacobiParams(self.fp.alpha - self.fp.beta, self.fp.beta)
-
-    @property
-    def test_params(self) -> JacobiParams:
-        return JacobiParams(self.fp.beta, self.fp.alpha - self.fp.beta)
-
-    def omega(self, x):
-        a, b = self.fp.alpha - self.fp.beta, self.fp.beta
-        x = np.asarray(x, dtype=float)
-        return (1.0 - x) ** a * x ** b
-
-
-def _params_close(p: JacobiParams, q: JacobiParams) -> bool:
-    # basis families produced from solved parameters carry bisection-level
-    # noise, so matching is tolerant rather than bitwise
-    return abs(p.a - q.a) <= 1e-12 and abs(p.b - q.b) <= 1e-12
 
 
 def project(f, p, N: int, quad_points: int) -> CoeffVec:
@@ -103,30 +69,28 @@ def sobolev_norm(v: CoeffVec, s: float) -> float:
     return float(np.sqrt(np.sum((1.0 + j * j) ** s * v.coeffs ** 2)))
 
 
-def eval_solution(phis: Sequence[CoeffVec], w: WeightSpec, x) -> list:
-    """u(x) = omega(x) * sum_j phi_j Ghat_j^{(alpha-beta,beta)}(x) for each
-    expansion in phis, which share one degree: one u per entry from a single
-    basis table and omega on x.  Each u is its own table-vector product, so
-    it rounds as it would alone; for scalar x each u is a float.  The weight
-    vanishes at both endpoints, so u(0) = u(1) = 0 exactly.
+def eval_solution(phis: Sequence[CoeffVec], x) -> list:
+    """u(x) = omega(x) * sum_j phi_j Ghat_j^{(a,b)}(x) for each expansion in
+    phis, which share one basis (a, b) and one degree; omega = (1-x)^a x^b
+    is the weight of that basis.  One u per entry, all from a single basis
+    table and omega on x, and [] for no phis.  Each u is its own
+    table-vector product, so it rounds as it would alone; for scalar x each
+    u is a float.  For a trial basis omega vanishes at both endpoints, so
+    u(0) = u(1) = 0 exactly.
     """
-    for p in phis:
-        if not _params_close(p.params, w.trial_params):
-            raise ValueError(
-                f"eval_solution: coefficients use basis {p.params}, expected "
-                f"{w.trial_params}"
-            )
-    degree = phis[0].degree
-    if any(p.degree != degree for p in phis):
+    if not phis:
+        return []
+    p, degree = phis[0].params, phis[0].degree
+    if any(phi.params != p or phi.degree != degree for phi in phis):
         raise ValueError(
-            f"eval_solution: expansions must share one degree, got "
-            f"{[p.degree for p in phis]}"
+            f"eval_solution: expansions must share one basis and one degree, "
+            f"got {[(phi.params, phi.degree) for phi in phis]}"
         )
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    V = eval_Ghat_table(phis[0].params, degree, xs)
-    om = w.omega(xs)
-    us = [om * (V @ p.coeffs) for p in phis]
+    V = eval_Ghat_table(p, degree, xs)
+    om = (1.0 - xs) ** p.a * xs ** p.b
+    us = [om * (V @ phi.coeffs) for phi in phis]
     return [float(u[0]) for u in us] if scalar else us
 
 
@@ -140,14 +104,11 @@ def error_norms(
     the omega^{-1}-weighted L2 error of u itself; mu=1 is the energy-norm
     surrogate.
     """
-    if not _params_close(phi_ref.params, phi_N.params):
+    if phi_ref.params != phi_N.params:
         raise ValueError(
             f"error_norms: basis mismatch, {phi_ref.params} vs {phi_N.params}"
         )
-    n = max(phi_ref.coeffs.size, phi_N.coeffs.size)
-    a = np.zeros(n)
-    a[: phi_ref.coeffs.size] = phi_ref.coeffs
-    b = np.zeros(n)
-    b[: phi_N.coeffs.size] = phi_N.coeffs
-    diff = CoeffVec(phi_ref.params, a - b)
-    return [sobolev_norm(diff, mu) for mu in mu_list]
+    diff = np.zeros(max(phi_ref.coeffs.size, phi_N.coeffs.size))
+    diff[: phi_ref.coeffs.size] += phi_ref.coeffs
+    diff[: phi_N.coeffs.size] -= phi_N.coeffs
+    return [sobolev_norm(CoeffVec(phi_ref.params, diff), mu) for mu in mu_list]

@@ -17,7 +17,7 @@ from fracspec.assembly import (
     composite_rule,
     k_floor,
 )
-from fracspec.coeffexpr import parse
+from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import mu, solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table, gauss_jacobi
 from fracspec.specfun import beta as beta_fn
@@ -82,6 +82,12 @@ def test_composite_rule_rejects_exterior_breaks():
     for bad in ([0.0], [1.0], [-0.3], [0.2, 1.5]):
         with pytest.raises(ValueError, match="inside"):
             composite_rule((0.0, 0.0), 4, bad)
+
+
+def test_composite_rule_rejects_non_finite_breaks():
+    for bad in ([np.nan], [np.inf], [-np.inf], [0.5, np.nan]):
+        with pytest.raises(ValueError, match="inside"):
+            composite_rule((0.2, 0.3), 5, bad)
 
 
 def test_composite_rule_midpoint_pieces():
@@ -187,6 +193,12 @@ def test_b0_rejects_nonpositive_k():
     # message carries the offending location
     with pytest.raises(AssemblyError, match=r"k\("):
         assemble_B0(_spec(k=lambda x: np.zeros_like(x)))
+
+
+def test_b0_rejects_nan_k():
+    # NaN <= 0 is false, so a NaN k must be caught where it is sampled
+    with pytest.raises(EvalError, match="coefficient is nan at x"):
+        assemble_B0(_spec(k=lambda x: np.where(x < 0.5, np.nan, 1.0)))
 
 
 def test_k_floor_finds_interior_minimum():

@@ -516,6 +516,16 @@ def test_converge_nref_conflict_exits_1(tmp_path, capsys):
     assert "N_ref" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_unread_degrees_past_n_ref_exit_1(tmp_path, capsys, command):
+    # Ns is a converge setting, but a given Ns meets its rules under every
+    # command
+    cfg = _base(tmp_path, N=8, Ns=[8, 40])
+    assert main([command, "--config", cfg]) == 1
+    assert "must stay below N_ref=40" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_compare_conflicting_k_exits_1(tmp_path, capsys):
     cfg = _base(tmp_path, variant=None, N=8, k1="1", k2="2")
     raw = json.loads((tmp_path / "run.json").read_text())

@@ -8,12 +8,14 @@ import pytest
 import scipy.linalg
 
 import fracspec.assembly
+import fracspec.experiments
 import fracspec.spaces
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
 from fracspec.experiments import (
     ComparisonReport,
     ConvergenceReport,
+    check_degrees,
     coeff_is_zero,
     observed_rate,
     run_comparison,
@@ -86,6 +88,30 @@ def test_run_convergence_validates_degrees():
         run_convergence(spec, [8, 40], N_ref=40)
     with pytest.raises(ValueError, match="at least one"):
         run_convergence(spec, [])
+
+
+def test_check_degrees_rules():
+    assert check_degrees([8.0, 10], 12) == [8, 10]
+    for Ns, N_ref, match in (
+        ([], 12, "at least one"),
+        ([0, 8], 12, "at least 1"),
+        ([-2], 12, "at least 1"),
+        ([8, 8], 12, "ascending"),
+        ([10, 8], 12, "ascending"),
+        ([8, 12], 12, "N_ref"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            check_degrees(Ns, N_ref)
+
+
+def test_run_convergence_checks_degrees_before_assembling(monkeypatch):
+    # a degree below 1 used to surface only after the reference solve, as a
+    # RuntimeError naming N=0
+    counts = Counter()
+    _count_calls(monkeypatch, fracspec.experiments, ["assemble_system"], counts)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_convergence(_case_a(), [0, 8], N_ref=12)
+    assert counts == {}
 
 
 def test_run_convergence_quad_points_below_n_ref_raises():

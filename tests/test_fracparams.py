@@ -77,6 +77,20 @@ def test_invalid_inputs():
         FracParams(1.5, 0.5, 0.75, 1.0)  # c** must be negative
 
 
+def test_trial_and_test_families():
+    for alpha, r in ((1.3, 0.5), (1.6, 0.4), (1.05, 1.0), (1.95, 0.0)):
+        fp = solve_beta(alpha, r)
+        assert (fp.trial.a, fp.trial.b) == (fp.alpha - fp.beta, fp.beta)
+        assert (fp.test.a, fp.test.b) == (fp.trial.b, fp.trial.a)
+
+
+def test_trial_exponents_must_be_positive():
+    # beta lies 1e-9 inside the window's tolerance, but below 0: the trial
+    # weight would not vanish at x = 0
+    with pytest.raises(ValueError, match="trial exponents must be positive"):
+        FracParams(1 + 5e-10, 1.0, -4e-10, -1.0)
+
+
 @pytest.mark.parametrize("alpha, r", [(0.0, 1.0), (math.inf, 0.5), (-math.inf, 0.5)])
 def test_solve_beta_checks_window_before_bisecting(alpha, r):
     # unchecked, alpha 0 at r 1 zeroes the denominator of c** and an

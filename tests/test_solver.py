@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from fracspec.assembly import ProblemSpec, assemble_system
-from fracspec.coeffexpr import parse
+from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import solve_beta
 from fracspec.jacobi import JacobiParams, _rule, eval_Ghat_table
 from fracspec.solver import Solution, solve
@@ -69,6 +69,27 @@ def test_solve_factors_once(monkeypatch):
     solve(ProblemSpec(fp=fp, variant="acute", k=lambda x: 1.0 + 2.0 * x,
                       b=np.exp, c=lambda x: 5.0 + np.sin(x), f=_one, N=8))
     assert len(calls) == 1
+
+
+def test_solution_is_in_the_trial_basis():
+    fp = solve_beta(1.6, 0.4)
+    spec = ProblemSpec(fp=fp, variant="grave", k=_one, b=_zero, c=_one,
+                       f=_one, N=6)
+    assert solve(spec).phi.params == spec.fp.trial
+
+
+def test_non_finite_coefficient_is_an_eval_error():
+    # a plain callable is not checked as it evaluates, so sampling checks
+    # its values: NaN k must not pass the positivity check, and inf f must
+    # not reach the load vector
+    fp = solve_beta(1.3, 0.5)
+    kw = dict(fp=fp, variant="acute", k=_one, b=_zero, c=_zero, f=_one, N=8)
+    nan_k = ProblemSpec(**{**kw, "k": lambda x: np.where(x < 0.5, np.nan, 1.0)})
+    with pytest.raises(EvalError, match="coefficient is nan at x = 0.0"):
+        solve(nan_k)
+    inf_f = ProblemSpec(**{**kw, "f": lambda x: np.full_like(x, np.inf)})
+    with pytest.raises(EvalError, match="coefficient is inf at x"):
+        solve(inf_f)
 
 
 def test_boundary_values_exactly_zero():

@@ -6,7 +6,6 @@ import pytest
 from fracspec import (
     CoeffVec,
     JacobiParams,
-    WeightSpec,
     error_norms,
     eval_Ghat_table,
     eval_solution,
@@ -16,13 +15,14 @@ from fracspec import (
     sobolev_norm,
     solve_beta,
 )
+from fracspec.jacobi import as_params
 from reference_math import eval_G_table, norm_G, omega_star
 
 
 def _unit(p, n, m):
     c = np.zeros(n + 1)
     c[m] = 1.0
-    return CoeffVec(JacobiParams(*p), c)
+    return CoeffVec(as_params(p), c)
 
 
 def test_coeffvec_validation():
@@ -34,20 +34,21 @@ def test_coeffvec_validation():
     assert v.degree == 4
 
 
-def test_weightspec_exponents_and_vanishing():
+def test_trial_weight_exponents_and_vanishing():
+    # u of the constant trial mode is omega / ||G_0||, so omega is read off it
     fp = solve_beta(1.5, 0.5)
-    w = WeightSpec(fp)
-    assert w.trial_params.a == pytest.approx(0.75, abs=1e-13)
-    assert w.trial_params.b == pytest.approx(0.75, abs=1e-13)
-    assert w.test_params.a == pytest.approx(0.75, abs=1e-13)
-    assert w.omega(0.0) == 0.0 and w.omega(1.0) == 0.0
+    assert fp.trial.a == pytest.approx(0.75, abs=1e-13)
+    assert fp.trial.b == pytest.approx(0.75, abs=1e-13)
+    (u,) = eval_solution([_unit(fp.trial, 2, 0)], np.array([0.0, 1.0]))
+    assert np.array_equal(u, [0.0, 0.0])
     assert omega_star(fp, 0.0) == 0.0 and omega_star(fp, 1.0) == 0.0
     fp2 = solve_beta(1.6, 0.4)
-    w2 = WeightSpec(fp2)
-    assert w2.trial_params.a == pytest.approx(1.6 - fp2.beta)
-    assert w2.trial_params.b == pytest.approx(fp2.beta)
+    assert fp2.trial.a == pytest.approx(1.6 - fp2.beta)
+    assert fp2.trial.b == pytest.approx(fp2.beta)
     # omega* swaps the exponents
-    assert w2.omega(0.3) == pytest.approx(omega_star(fp2, 0.7), rel=1e-13)
+    (u,) = eval_solution([_unit(fp2.trial, 0, 0)], 0.3)
+    omega = u * norm_G(fp2.trial, 0)
+    assert omega == pytest.approx(omega_star(fp2, 0.7), rel=1e-13)
 
 
 def test_project_recovers_basis_mode():
@@ -150,39 +151,41 @@ def test_norm_equivalence_smoke():
 
 
 def test_eval_solution_boundary_and_interior():
-    fp = solve_beta(1.5, 0.5)
-    w = WeightSpec(fp)
     phi = _unit((0.75, 0.75), 4, 0)
-    assert eval_solution([phi], w, 0.0) == [0.0]
-    assert eval_solution([phi], w, 1.0) == [0.0]
+    assert eval_solution([phi], 0.0) == [0.0]
+    assert eval_solution([phi], 1.0) == [0.0]
     # phi is the constant 1/||G_0||, so u(0.5) = 0.5^1.5 / ||G_0||
     want = 0.3535533905932738 / 0.5041467300679373
-    (u,) = eval_solution([phi], w, 0.5)
+    (u,) = eval_solution([phi], 0.5)
     assert u == pytest.approx(want, rel=1e-13)
     xs = np.array([0.0, 0.25, 1.0])
-    (out,) = eval_solution([phi], w, xs)
+    (out,) = eval_solution([phi], xs)
     assert out[0] == 0.0 and out[2] == 0.0
 
 
 def test_eval_solution_sequence_matches_single_calls():
-    fp = solve_beta(1.5, 0.5)
-    w = WeightSpec(fp)
+    trial = solve_beta(1.5, 0.5).trial
     rng = np.random.default_rng(7)
-    phis = [CoeffVec(w.trial_params, rng.standard_normal(6)) for _ in range(3)]
+    phis = [CoeffVec(trial, rng.standard_normal(6)) for _ in range(3)]
     xs = np.linspace(0.0, 1.0, 57)
-    us = eval_solution(phis, w, xs)
+    us = eval_solution(phis, xs)
     assert len(us) == 3
     for phi, u in zip(phis, us):
-        assert np.array_equal(u, eval_solution([phi], w, xs)[0])
-    assert eval_solution(phis, w, 0.5) == [eval_solution([phi], w, 0.5)[0] for phi in phis]
+        assert np.array_equal(u, eval_solution([phi], xs)[0])
+    assert eval_solution(phis, 0.5) == [eval_solution([phi], 0.5)[0] for phi in phis]
     with pytest.raises(ValueError, match="degree"):
-        eval_solution([phis[0], CoeffVec(w.trial_params, np.ones(4))], w, xs)
+        eval_solution([phis[0], CoeffVec(trial, np.ones(4))], xs)
+    assert eval_solution([], xs) == []
 
 
 def test_eval_solution_rejects_basis_mismatch():
-    fp = solve_beta(1.5, 0.5)
-    with pytest.raises(ValueError):
-        eval_solution([_unit((0.0, 0.0), 3, 0)], WeightSpec(fp), 0.5)
+    # the weight is the basis's own, so expansions in two bases have no
+    # common weight; the bases must match exactly
+    trial = solve_beta(1.5, 0.5).trial
+    near = JacobiParams(trial.a + 1e-15, trial.b)
+    for other in (JacobiParams(0.0, 0.0), near):
+        with pytest.raises(ValueError, match="basis"):
+            eval_solution([_unit(trial, 3, 0), _unit(other, 3, 0)], 0.5)
 
 
 def test_error_norms_zero_and_single_mode():
