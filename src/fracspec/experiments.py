@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .assembly import ProblemSpec, assemble_shared, assemble_system
-from .coeffexpr import breaks_of, sample
+from .coeffexpr import EvalError, breaks_of, sample
 from .fracparams import predicted_rates
 from .solver import eval_solutions, solve
 from .spaces import error_norms
@@ -51,12 +51,19 @@ def observed_rate(e1: float, e2: float, N1: int, N2: int) -> float:
 
 
 def coeff_is_zero(fn) -> bool:
-    """True when the coefficient samples to exactly zero on a fine grid."""
+    """True when the coefficient samples to exactly zero on a fine grid.
+
+    The grid includes both endpoints, where the assembly never evaluates a
+    coefficient; one that is not finite there, such as x^-0.5, is not zero.
+    """
     xs = np.linspace(0.0, 1.0, 257)
     extra = breaks_of(fn)
     if extra:
         xs = np.sort(np.concatenate([xs, extra]))
-    return bool(np.max(np.abs(sample(fn, xs))) == 0.0)
+    try:
+        return bool(np.max(np.abs(sample(fn, xs))) == 0.0)
+    except EvalError:
+        return False
 
 
 def check_degrees(Ns: Sequence[int], N_ref: int) -> list[int]:

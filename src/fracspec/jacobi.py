@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,15 +96,42 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
     Parameters
     ----------
     p : JacobiParams or (a, b) pair
-    N : highest degree
-    x : array of points in [0, 1]
+    N : highest degree, an integer at least 0
+    x : scalar or 1-D array of points in [0, 1]
 
     Returns
     -------
-    ndarray of shape (len(x), N+1), column n holding Ghat_n at the points.
+    read-only ndarray of shape (len(x), N+1), column n holding Ghat_n at the
+    points.
+
+    Tables are memoised per process by the exact exponents, N and the bytes
+    of x, so a hit returns the very array an earlier call built and every
+    caller shares it.  The memo holds at most _TABLE_MEMO_BYTES (2 MiB) in
+    all: each table is charged its own bytes, its points' bytes and
+    _TABLE_ENTRY_BYTES for the Python objects around them, and the least
+    recently used tables go first.  A table whose charge alone exceeds the
+    budget (a 10001-point output grid at N = 40) is built and returned but
+    never kept.
     """
     p = as_params(p)
+    N = operator.index(N)
+    if N < 0:
+        raise ValueError(f"eval_Ghat_table: need degree N >= 0, got N={N}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.ndim != 1:
+        raise ValueError(f"eval_Ghat_table: points must form a 1-D array, got shape {x.shape}")
+    charge = (N + 2) * x.nbytes + _TABLE_ENTRY_BYTES
+    if charge > _TABLE_MEMO_BYTES:
+        return _table(p, N, x)
+    key = (p, N, x.tobytes())
+    table = _tables.get(key)
+    if table is None:
+        table = _table(p, N, x)
+        _tables.put(key, table, charge)
+    return table
+
+
+def _table(p: JacobiParams, N: int, x: np.ndarray) -> np.ndarray:
     d, e = _jacobi_matrix(p.a, p.b, N)
     V = np.empty((N + 1, x.size))
     V[0] = _mu0(p.a, p.b) ** -0.5
@@ -111,7 +139,52 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
         V[1] = (x - d[0]) * V[0] / e[1]
     for k in range(1, N):
         V[k + 1] = ((x - d[k]) * V[k] - e[k] * V[k - 1]) / e[k + 1]
+    # every caller that hits the memo shares V, so it is read-only, and
+    # so is its transpose, a view
+    V.flags.writeable = False
     return V.T
+
+
+class _TableMemo:
+    """Least recently used tables under a byte budget; put charges each
+    entry the bytes its caller names and evicts the oldest entries until
+    the total is back within the budget."""
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self._entries = OrderedDict()  # key -> (table, charge)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            return None
+        self._entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, table, charge: int):
+        self._entries[key] = (table, charge)
+        self.nbytes += charge
+        while self.nbytes > self.budget:
+            _, (_, old) = self._entries.popitem(last=False)
+            self.nbytes -= old
+
+    def clear(self):
+        self._entries.clear()
+        self.nbytes = 0
+
+
+# a convergence study of the paper's cases pairs its blocks with 14
+# distinct tables (0.3 MB), and a 16-entry jump/smooth compare catalogue
+# with 39 (1.5 MB): both stay in the memo
+_TABLE_MEMO_BYTES = 2 << 20
+# the key tuple, its bytes, the array headers and the dict slot measure
+# about 620 bytes per entry under tracemalloc
+_TABLE_ENTRY_BYTES = 1024
+_tables = _TableMemo(_TABLE_MEMO_BYTES)
 
 
 def gauss_jacobi(p, n: int) -> QuadratureRule:

@@ -17,6 +17,7 @@ import fracspec.solver
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
 from fracspec.fracparams import solve_beta
+from fracspec.jacobi import _rule, _tables
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,6 +79,23 @@ def test_traced_repeat_solve_counts_every_rule(monkeypatch):
     rule_spans = [span for span in tracer.spans if span[0] == "jacobi.gauss_jacobi"]
     assert len(rule_spans) == 4
     assert all(span[2] >= span[1] for span in rule_spans)
+
+
+def test_traced_warm_solve_counts_every_table(monkeypatch):
+    # a repeat solve finds its basis tables in eval_Ghat_table's memo; the
+    # memo sits behind the traced bindings, so each lookup is still a timed
+    # call and each block still reports the products it makes with them
+    _rule.cache_clear()
+    _tables.clear()
+    cold = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
+    tables = len(_tables)
+    warm = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
+    assert len(_tables) == tables
+    for tracer in (cold, warm):
+        spans = [span for span in tracer.spans if span[0] == "jacobi.eval_Ghat_table"]
+        assert len(spans) == 6
+    for key in ("jacobi.eval_Ghat_table.cells", "assembly.matmul_flops"):
+        assert warm.counts[key] == cold.counts[key] > 0
 
 
 def test_traced_convergence_sweep(monkeypatch):

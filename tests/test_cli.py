@@ -596,6 +596,21 @@ def test_converge_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, kw", [
+    ("solve", dict(N=8, grid_points=11)),
+    ("converge", dict(Ns=[4, 6], N_ref=10)),
+])
+def test_advection_singular_at_an_endpoint_exits_0(tmp_path, command, kw):
+    # b = x^-0.5 is infinite at x = 0, where the assembly never samples it
+    cfg = _base(tmp_path, b="x^-0.5", **kw)
+    assert main([command, "--config", cfg]) == 0
+    out = tmp_path / "out"
+    if command == "solve":
+        assert "predicted rate (L2) = 2.25" in (out / "summary.txt").read_text()
+    else:
+        assert (out / "convergence.csv").read_text().endswith("# pred,2.25,1.25\n")
+
+
 def test_programming_error_is_not_numerical(tmp_path, capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("broken comparison")

@@ -75,6 +75,21 @@ def test_coeff_is_zero():
     assert coeff_is_zero(parse("0"))
 
 
+def _inverse_sqrt(x):
+    with np.errstate(divide="ignore"):
+        return x ** -0.5
+
+
+@pytest.mark.parametrize("b", [parse("x^-0.5"), _inverse_sqrt], ids=["parsed", "callable"])
+def test_run_convergence_with_advection_singular_at_an_endpoint(b):
+    # b = x^-0.5 is infinite at x = 0, where the assembly never samples it;
+    # it is not zero, so the sweep runs and predicts the rates with advection
+    assert not coeff_is_zero(b)
+    rep = run_convergence(replace(_case_a(), b=b), [8, 10], N_ref=16)
+    assert all(np.isfinite(row[1]) and row[1] > 0 for row in rep.rows)
+    assert rep.predicted == pytest.approx((2.25, 1.25), abs=1e-12)
+
+
 # ---------------------------------------------------------- run_convergence
 
 

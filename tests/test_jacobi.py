@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
 from fracspec import JacobiParams, beta, eval_Ghat_table, gauss_jacobi, solve_beta
-from fracspec.jacobi import _RULE_CACHE_SIZE, _rule
+from fracspec.jacobi import (
+    _RULE_CACHE_SIZE,
+    _TABLE_ENTRY_BYTES,
+    _TABLE_MEMO_BYTES,
+    _rule,
+    _tables,
+)
 from reference_math import (
     deriv_G,
     eval_G,
@@ -284,6 +290,77 @@ def test_gauss_jacobi_memo_is_bounded():
     misses = _rule.cache_info().misses
     gauss_jacobi((0.0, 0.0), 1)
     assert _rule.cache_info().misses == misses + 1
+
+
+def test_table_memo_shares_read_only_tables():
+    nodes = gauss_jacobi((0.35, -0.65), 28).nodes
+    _tables.clear()
+    first = eval_Ghat_table((0.35, -0.65), 12, nodes)
+    # equal exponents and equal points, not the same objects, find it
+    again = eval_Ghat_table(JacobiParams(0.35, -0.65), 12, np.array(nodes))
+    assert again is first
+    # a shared table cannot be corrupted by one of its callers
+    with pytest.raises(ValueError):
+        again[0, 0] = 0.5
+    _tables.clear()
+    fresh = eval_Ghat_table((0.35, -0.65), 12, nodes)
+    assert fresh is not first
+    assert fresh.tobytes() == first.tobytes()
+    # the kept table is the transpose of the row-contiguous build, not a
+    # contiguous copy, so every product with it rounds as before
+    assert first.strides == fresh.strides == (8, 8 * 28)
+
+
+def test_table_memo_key_is_exact():
+    x = np.linspace(0.1, 0.9, 9)
+    _tables.clear()
+    first = eval_Ghat_table((0.3, 0.7), 6, x)
+    # a node, an exponent or the degree one step apart is a different table
+    moved = x.copy()
+    moved[4] = np.nextafter(x[4], 1.0)
+    assert eval_Ghat_table((0.3, 0.7), 6, moved) is not first
+    assert eval_Ghat_table((0.3, np.nextafter(0.7, 1.0)), 6, x) is not first
+    assert eval_Ghat_table((0.3, 0.7), 5, x) is not first
+    assert len(_tables) == 4
+    assert eval_Ghat_table((0.3, 0.7), 6, x) is first
+
+
+def test_table_arguments_are_checked_before_the_memo():
+    # each call below has a key that the valid call put in the memo, were
+    # the arguments not checked first
+    x = np.linspace(0.1, 0.9, 4)
+    eval_Ghat_table((0.3, 0.7), 2, x)
+    with pytest.raises(TypeError):
+        eval_Ghat_table((0.3, 0.7), 2.0, x)
+    with pytest.raises(ValueError, match="N >= 0"):
+        eval_Ghat_table((0.3, 0.7), -1, x)
+    with pytest.raises(ValueError, match=r"shape \(2, 2\)"):
+        eval_Ghat_table((0.3, 0.7), 2, x.reshape(2, 2))
+
+
+def test_table_memo_evicts_the_oldest_past_its_budget():
+    N = 127
+    m = _TABLE_MEMO_BYTES // (4 * 8 * (N + 2)) + 1
+    charge = (N + 2) * 8 * m + _TABLE_ENTRY_BYTES
+    assert _TABLE_MEMO_BYTES == 2 << 20
+    assert 3 * charge <= _TABLE_MEMO_BYTES < 4 * charge
+    _tables.clear()
+    xs = [np.linspace(0.0, 1.0, m) ** (i + 1) for i in range(4)]
+    tables = [eval_Ghat_table((0.0, 0.0), N, x) for x in xs]
+    assert len(_tables) == 3 and _tables.nbytes == 3 * charge
+    for x, table in zip(xs[1:], tables[1:]):
+        assert eval_Ghat_table((0.0, 0.0), N, x) is table
+    assert eval_Ghat_table((0.0, 0.0), N, xs[0]) is not tables[0]
+
+
+def test_table_over_the_budget_is_returned_but_not_kept():
+    x = np.linspace(0.0, 1.0, 10001)
+    _tables.clear()
+    big = eval_Ghat_table((0.3, 0.7), 40, x)
+    assert big.nbytes > _TABLE_MEMO_BYTES
+    assert big.shape == (10001, 41) and not big.flags.writeable
+    assert len(_tables) == 0 and _tables.nbytes == 0
+    assert eval_Ghat_table((0.3, 0.7), 40, x) is not big
 
 
 @settings(max_examples=60, deadline=None)

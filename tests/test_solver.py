@@ -7,7 +7,8 @@ import scipy.linalg
 from fracspec.assembly import ProblemSpec, assemble_system
 from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import solve_beta
-from fracspec.jacobi import JacobiParams, _rule, eval_Ghat_table
+from fracspec.experiments import run_comparison, run_convergence
+from fracspec.jacobi import JacobiParams, _rule, _tables, eval_Ghat_table
 from fracspec.solver import Solution, solve
 from fracspec.spaces import error_norms
 from reference_math import gamma
@@ -140,12 +141,38 @@ def test_memoised_rules_solve_as_fresh_ones():
                        k=lambda x: 1.0 + 2.0 * x, b=np.exp,
                        c=lambda x: 5.0 + np.sin(x), f=_one, N=40)
     _rule.cache_clear()
+    _tables.clear()
     cold = solve(spec)
-    misses = _rule.cache_info().misses
+    misses, tables = _rule.cache_info().misses, len(_tables)
     warm = solve(spec)
     assert _rule.cache_info().misses == misses
+    assert len(_tables) == tables == 6
     assert np.array_equal(cold.phi.coeffs, warm.phi.coeffs)
     assert cold.diagnostics == warm.diagnostics
+
+
+def test_memoised_tables_study_as_fresh_ones():
+    # a sweep and a jump-k compare on rules and tables built afresh, and
+    # the same runs read back from the memos, give the same bits
+    spec = ProblemSpec(fp=solve_beta(1.3, 0.5), variant="acute",
+                       k=lambda x: 1.0 + 2.0 * x, b=np.exp,
+                       c=lambda x: 5.0 + np.sin(x), f=_one, N=16)
+    ks = [parse("piecewise(0.5; 1; 10)"), parse("1+2*x")]
+
+    def runs():
+        rep = run_convergence(spec, [8, 10, 12], N_ref=24)
+        reports = run_comparison(spec, ks, grid_points=101)
+        columns = [c for r in reports for c in (r.x, r.u_acute, r.u_grave)]
+        return rep.rows, rep.predicted, columns
+
+    _rule.cache_clear()
+    _tables.clear()
+    cold = runs()
+    tables = len(_tables)
+    warm = runs()
+    assert len(_tables) == tables
+    assert cold[:2] == warm[:2]
+    assert all(np.array_equal(c, w) for c, w in zip(cold[2], warm[2]))
 
 
 def test_variants_agree_for_constant_k():
