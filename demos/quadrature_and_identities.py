@@ -20,7 +20,6 @@ from fracspec import (
     parse,
     solve_beta,
 )
-from fracspec.specfun import beta as beta_fn
 
 # 1. moment exactness for a singular weight
 a, b = -0.35, 0.65
@@ -28,7 +27,9 @@ rule = gauss_jacobi((a, b), 8)
 print(f"Gauss-Jacobi, weight (1-x)^{a} x^{b}, 8 points:")
 for m in (0, 5, 15):
     got = float(rule.weights @ rule.nodes**m)
-    want = beta_fn(a + 1.0, b + m + 1.0)
+    # the m-th moment of the weight is the beta function B(p, q)
+    p, q = a + 1.0, b + m + 1.0
+    want = math.exp(math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q))
     print(f"  moment {m:2d}: quadrature {got:.15f}  exact {want:.15f}")
 
 # 2. a jump at 0.5: the plain rule loses digits, the split rule does not

@@ -6,18 +6,18 @@ where the weight omega and the basis exponents are tied to the fractional
 order alpha and the directional weight r so that the diffusion term becomes
 diagonal for constant diffusivity.  Two operator variants are supported:
 "acute" keeps k(x) inside the fractional integral, "grave" applies it
-outside.  Modules build up from scalar special functions through Jacobi
-machinery, assembly and linear algebra to convergence/comparison studies
-and a small CLI.
+outside.  Modules build up from Jacobi machinery (with log-gamma) through
+assembly and linear algebra to convergence/comparison studies and a small
+CLI.
 """
 
-from .specfun import beta, log_gamma
 from .jacobi import (
     JacobiParams,
     QuadratureError,
     QuadratureRule,
     eval_Ghat_table,
     gauss_jacobi,
+    log_gamma,
 )
 from .fracparams import FracParams, mu, predicted_rates, solve_beta
 from .coeffexpr import EvalError, Expr, ParseError, breakpoints, parse, pretty
@@ -56,7 +56,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "beta",
     "log_gamma",
     "JacobiParams",
     "QuadratureError",

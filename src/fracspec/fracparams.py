@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jacobi import JacobiParams
-from .specfun import log_gamma
+from .jacobi import JacobiParams, log_gamma
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ where d_k and e_k are the entries of the symmetric tridiagonal Jacobi
 matrix of the weight.  The tables run this recurrence; the rules take
 their nodes from the matrix's eigenvalues and their weights from the same
 recurrence (Golub & Welsch 1969; Gautschi, Orthogonal Polynomials, 2004).
+Both are memoised per process in one byte-bounded memo.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections import OrderedDict
@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-
-from .specfun import log_gamma
 
 
 class QuadratureError(RuntimeError):
@@ -62,6 +60,15 @@ def as_params(p) -> JacobiParams:
         return p
     a, b = p
     return JacobiParams(float(a), float(b))
+
+
+def log_gamma(x: float) -> float:
+    """Natural log of Gamma(x) for x > 0.  Every Gamma ratio in the package
+    goes through it, so that ratios like Gamma(k+alpha)/Gamma(k+1) never
+    form large intermediates."""
+    if x <= 0:
+        raise ValueError(f"log_gamma: argument must be positive, got {x}")
+    return math.lgamma(x)
 
 
 def _jacobi_matrix(a: float, b: float, n: int):
@@ -104,14 +111,8 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
     read-only ndarray of shape (len(x), N+1), column n holding Ghat_n at the
     points.
 
-    Tables are memoised per process by the exact exponents, N and the bytes
-    of x, so a hit returns the very array an earlier call built and every
-    caller shares it.  The memo holds at most _TABLE_MEMO_BYTES (2 MiB) in
-    all: each table is charged its own bytes, its points' bytes and
-    _TABLE_ENTRY_BYTES for the Python objects around them, and the least
-    recently used tables go first.  A table whose charge alone exceeds the
-    budget (a 10001-point output grid at N = 40) is built and returned but
-    never kept.
+    Tables are kept in the memo (_Memo) by the exact exponents, N and the
+    bytes of x, so a hit returns the very array an earlier call built.
     """
     p = as_params(p)
     N = operator.index(N)
@@ -120,15 +121,8 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise ValueError(f"eval_Ghat_table: points must form a 1-D array, got shape {x.shape}")
-    charge = (N + 2) * x.nbytes + _TABLE_ENTRY_BYTES
-    if charge > _TABLE_MEMO_BYTES:
-        return _table(p, N, x)
-    key = (p, N, x.tobytes())
-    table = _tables.get(key)
-    if table is None:
-        table = _table(p, N, x)
-        _tables.put(key, table, charge)
-    return table
+    # the table and the key's copy of the points
+    return _memo.get((p, N, x.tobytes()), (N + 2) * x.nbytes, lambda: _table(p, N, x))
 
 
 def _table(p: JacobiParams, N: int, x: np.ndarray) -> np.ndarray:
@@ -145,46 +139,57 @@ def _table(p: JacobiParams, N: int, x: np.ndarray) -> np.ndarray:
     return V.T
 
 
-class _TableMemo:
-    """Least recently used tables under a byte budget; put charges each
-    entry the bytes its caller names and evicts the oldest entries until
-    the total is back within the budget."""
+class _Memo:
+    """The rules of gauss_jacobi and the tables of eval_Ghat_table, least
+    recently used first, under one budget of _MEMO_BYTES (2 MiB) in all.
+
+    Each entry is charged the bytes of its arrays that its builder names,
+    plus _ENTRY_BYTES for the Python objects around them.  A miss builds the
+    entry and evicts the oldest entries until the total fits the budget
+    again, so rules and tables together never hold more than 2 MiB.  An
+    entry whose charge alone exceeds the budget (a 10001-point output grid
+    at N = 40) is built and returned but never kept.  Every caller shares
+    what the memo keeps, so the builders return read-only arrays.
+    """
 
     def __init__(self, budget: int):
         self.budget = budget
         self.nbytes = 0
-        self._entries = OrderedDict()  # key -> (table, charge)
+        self._entries = OrderedDict()  # key -> (object, charge)
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key):
+    def get(self, key, nbytes: int, build):
+        """The object kept under key, else build() kept at a charge of
+        nbytes + _ENTRY_BYTES if that fits the budget."""
         entry = self._entries.get(key)
-        if entry is None:
-            return None
-        self._entries.move_to_end(key)
-        return entry[0]
-
-    def put(self, key, table, charge: int):
-        self._entries[key] = (table, charge)
-        self.nbytes += charge
-        while self.nbytes > self.budget:
-            _, (_, old) = self._entries.popitem(last=False)
-            self.nbytes -= old
+        if entry is not None:
+            self._entries.move_to_end(key)
+            return entry[0]
+        obj = build()
+        charge = nbytes + _ENTRY_BYTES
+        if charge <= self.budget:
+            self._entries[key] = (obj, charge)
+            self.nbytes += charge
+            while self.nbytes > self.budget:
+                _, (_, old) = self._entries.popitem(last=False)
+                self.nbytes -= old
+        return obj
 
     def clear(self):
         self._entries.clear()
         self.nbytes = 0
 
 
-# a convergence study of the paper's cases pairs its blocks with 14
-# distinct tables (0.3 MB), and a 16-entry jump/smooth compare catalogue
-# with 39 (1.5 MB): both stay in the memo
-_TABLE_MEMO_BYTES = 2 << 20
-# the key tuple, its bytes, the array headers and the dict slot measure
-# about 620 bytes per entry under tracemalloc
-_TABLE_ENTRY_BYTES = 1024
-_tables = _TableMemo(_TABLE_MEMO_BYTES)
+# a convergence study of the paper's cases keeps 10 rules and 14 tables
+# (0.3 MB), and a 16-entry jump/smooth compare catalogue 10 rules and 39
+# tables (1.5 MB): both stay in the memo
+_MEMO_BYTES = 2 << 20
+# the key tuple, its bytes, the array headers and the dict slot of a table
+# measure about 620 bytes per entry under tracemalloc
+_ENTRY_BYTES = 1024
+_memo = _Memo(_MEMO_BYTES)
 
 
 def gauss_jacobi(p, n: int) -> QuadratureRule:
@@ -197,20 +202,17 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
     nodes to first order through S' = 2 sum_{k<n} p_k p_k': near an
     endpoint whose exponent nears -1 the largest weight is sensitive to the
     rounding of its node.  A nonpositive or non-finite weight raises
-    QuadratureError.  Rules are memoised per process by the exact exponents
-    and n, the last _RULE_CACHE_SIZE of them (4 MB at 4096 points each),
-    so their arrays are read-only: every caller shares them.
+    QuadratureError.  Rules are kept in the memo (_Memo) by the exact
+    exponents and n, so a hit returns the very rule an earlier call built.
     """
     p = as_params(p)
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"gauss_jacobi: need at least one point, got n={n}")
-    return _rule(p, operator.index(n))
+    # nodes and weights, 8 bytes each per point
+    return _memo.get((p, n), 16 * n, lambda: _rule(p, n))
 
 
-_RULE_CACHE_SIZE = 64
-
-
-@functools.lru_cache(maxsize=_RULE_CACHE_SIZE)
 def _rule(p: JacobiParams, n: int) -> QuadratureRule:
     a, b = p.a, p.b
     d, e = _jacobi_matrix(a, b, n)

@@ -76,7 +76,8 @@ def eval_solution(phis: Sequence[CoeffVec], x) -> list:
     table and omega on x, and [] for no phis.  Each u is its own
     table-vector product, so it rounds as it would alone; for scalar x each
     u is a float.  For a trial basis omega vanishes at both endpoints, so
-    u(0) = u(1) = 0 exactly.
+    u(0) = u(1) = 0 exactly.  A point outside [0, 1], or NaN, is a
+    ValueError.
     """
     if not phis:
         return []
@@ -88,6 +89,9 @@ def eval_solution(phis: Sequence[CoeffVec], x) -> list:
         )
     scalar = np.isscalar(x) or np.ndim(x) == 0
     xs = np.atleast_1d(np.asarray(x, dtype=float))
+    outside = ~((xs >= 0.0) & (xs <= 1.0))
+    if outside.any():
+        raise ValueError(f"eval_solution: points must lie in [0, 1], got x={xs[outside][0]}")
     V = eval_Ghat_table(p, degree, xs)
     om = (1.0 - xs) ** p.a * xs ** p.b
     us = [om * (V @ phi.coeffs) for phi in phis]

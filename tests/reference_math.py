@@ -1,8 +1,8 @@
 """Closed forms and identity checks that the tests hold the package to.
 
 The package itself never calls these: they are the independent side of a
-comparison (classical Jacobi values, norms and derivatives, the Gamma
-function, the test weight omega*, the inverse map beta -> r and the
+comparison (classical Jacobi values, norms and derivatives, the Gamma and
+beta functions, the test weight omega*, the inverse map beta -> r and the
 sigma_k sequence), so they live next to the tests.
 """
 
@@ -13,8 +13,7 @@ import math
 import numpy as np
 
 from fracspec.fracparams import FracParams, _denominator
-from fracspec.jacobi import JacobiParams, as_params
-from fracspec.specfun import log_gamma
+from fracspec.jacobi import JacobiParams, as_params, log_gamma
 
 
 def gamma(x: float) -> float:
@@ -29,6 +28,17 @@ def gamma(x: float) -> float:
     if x > 10:
         return math.exp(math.lgamma(x))
     return math.gamma(x)
+
+
+def beta(a: float, b: float) -> float:
+    """Euler beta B(a,b) = Gamma(a)Gamma(b)/Gamma(a+b), the zeroth moment
+    of the Jacobi weight (1-x)^(a-1) x^(b-1) on (0,1).
+
+    Computed in log space; symmetric in (a, b) by construction.
+    """
+    if a <= 0 or b <= 0:
+        raise ValueError(f"beta: arguments must be positive, got ({a}, {b})")
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
 def _recurrence_step(m: int, a: float, b: float):

@@ -26,8 +26,14 @@ from fracspec.experiments import observed_rate, run_comparison, run_convergence
 from fracspec.fracparams import predicted_rates, solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table, gauss_jacobi
 from fracspec.solver import solve
-from fracspec.specfun import beta as beta_fn
-from reference_math import beta_to_r, deriv_G, eval_G, gamma, weighted_deriv_identity_check
+from reference_math import (
+    beta as beta_fn,
+    beta_to_r,
+    deriv_G,
+    eval_G,
+    gamma,
+    weighted_deriv_identity_check,
+)
 
 # reference L2-error columns for the two benchmark configurations at
 # N = 8, 10, 12, 14, 16 (error convention unstated, see the module docstring)

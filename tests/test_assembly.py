@@ -20,8 +20,7 @@ from fracspec.assembly import (
 from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import mu, solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table, gauss_jacobi
-from fracspec.specfun import beta as beta_fn
-from reference_math import gamma, norm_G
+from reference_math import beta as beta_fn, gamma, norm_G
 
 
 def _one(x):

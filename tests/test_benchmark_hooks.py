@@ -17,7 +17,7 @@ import fracspec.solver
 from fracspec.assembly import ProblemSpec
 from fracspec.coeffexpr import parse
 from fracspec.fracparams import solve_beta
-from fracspec.jacobi import _rule, _tables
+from fracspec.jacobi import _memo
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -85,12 +85,11 @@ def test_traced_warm_solve_counts_every_table(monkeypatch):
     # a repeat solve finds its basis tables in eval_Ghat_table's memo; the
     # memo sits behind the traced bindings, so each lookup is still a timed
     # call and each block still reports the products it makes with them
-    _rule.cache_clear()
-    _tables.clear()
+    _memo.clear()
     cold = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
-    tables = len(_tables)
+    entries = len(_memo)
     warm = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
-    assert len(_tables) == tables
+    assert len(_memo) == entries == 10
     for tracer in (cold, warm):
         spans = [span for span in tracer.spans if span[0] == "jacobi.eval_Ghat_table"]
         assert len(spans) == 6

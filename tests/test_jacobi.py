@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import eval_jacobi, roots_jacobi
 
-from fracspec import JacobiParams, beta, eval_Ghat_table, gauss_jacobi, solve_beta
-from fracspec.jacobi import (
-    _RULE_CACHE_SIZE,
-    _TABLE_ENTRY_BYTES,
-    _TABLE_MEMO_BYTES,
-    _rule,
-    _tables,
-)
+from fracspec import JacobiParams, eval_Ghat_table, gauss_jacobi, solve_beta
+from fracspec.jacobi import _ENTRY_BYTES, _MEMO_BYTES, _memo
 from reference_math import (
+    beta,
     deriv_G,
     eval_G,
     eval_G_table,
@@ -267,34 +262,62 @@ def test_gauss_jacobi_memo_shares_read_only_rules():
 
 
 def test_gauss_jacobi_memo_key_is_exact():
-    _rule.cache_clear()
+    _memo.clear()
+    first = gauss_jacobi((0.3, 0.7), 9)
+    # equal exponents, not the same objects, find it
+    assert gauss_jacobi(JacobiParams(0.3, 0.7), 9) is first
+    assert gauss_jacobi((0.3, 0.7), np.int64(9)) is first
+    assert len(_memo) == 1 and _memo.nbytes == 16 * 9 + _ENTRY_BYTES
+    # exponents a rounding apart name a different rule, not the kept one
+    assert gauss_jacobi((0.3, np.nextafter(0.7, 1.0)), 9) is not first
+    assert len(_memo) == 2
+
+
+def test_rule_arguments_are_checked_before_the_memo():
+    # 9.0 would find the kept 9-point rule, were the size not checked first
     gauss_jacobi((0.3, 0.7), 9)
-    gauss_jacobi(JacobiParams(0.3, 0.7), 9)
-    info = _rule.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    # exponents a rounding apart name a different rule, not the cached one
-    gauss_jacobi((0.3, np.nextafter(0.7, 1.0)), 9)
-    assert _rule.cache_info().currsize == 2
-    # a non-integral size is refused whether or not its integer is cached
     with pytest.raises(TypeError):
         gauss_jacobi((0.3, 0.7), 9.0)
+    with pytest.raises(ValueError, match="at least one point"):
+        gauss_jacobi((0.3, 0.7), 0)
 
 
 def test_gauss_jacobi_memo_is_bounded():
-    _rule.cache_clear()
-    for n in range(1, _RULE_CACHE_SIZE + 11):
-        gauss_jacobi((0.0, 0.0), n)
-    assert _RULE_CACHE_SIZE == 64
-    assert _rule.cache_info().currsize == 64
-    # the least recently used rules went first
-    misses = _rule.cache_info().misses
-    gauss_jacobi((0.0, 0.0), 1)
-    assert _rule.cache_info().misses == misses + 1
+    n = 8
+    charge = 16 * n + _ENTRY_BYTES
+    count = _MEMO_BYTES // charge
+    _memo.clear()
+    rules = [gauss_jacobi((i / count, 0.5), n) for i in range(count + 1)]
+    assert len(_memo) == count and _memo.nbytes == count * charge
+    for i, rule in enumerate(rules[1:], 1):
+        assert gauss_jacobi((i / count, 0.5), n) is rule
+    # the least recently used rule went first
+    assert gauss_jacobi((0.0, 0.5), n) is not rules[0]
+
+
+def test_rules_and_tables_share_one_budget():
+    # four such tables fill the budget exactly, so the fourth evicts the
+    # rule kept before them, the oldest entry
+    N, m = 126, 511
+    assert 4 * ((N + 2) * 8 * m + _ENTRY_BYTES) == _MEMO_BYTES == 2 << 20
+    _memo.clear()
+    rule = gauss_jacobi((0.3, 0.7), 9)
+    xs = [np.linspace(0.0, 1.0, m) ** (i + 1) for i in range(4)]
+    tables = [eval_Ghat_table((0.0, 0.0), N, x) for x in xs]
+    assert len(_memo) == 4 and _memo.nbytes == _MEMO_BYTES
+    assert all(eval_Ghat_table((0.0, 0.0), N, x) is t for x, t in zip(xs, tables))
+    again = gauss_jacobi((0.3, 0.7), 9)
+    assert again is not rule
+    assert again.nodes.tobytes() == rule.nodes.tobytes()
+    assert again.weights.tobytes() == rule.weights.tobytes()
+    for arr in (again.nodes, again.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.5
 
 
 def test_table_memo_shares_read_only_tables():
     nodes = gauss_jacobi((0.35, -0.65), 28).nodes
-    _tables.clear()
+    _memo.clear()
     first = eval_Ghat_table((0.35, -0.65), 12, nodes)
     # equal exponents and equal points, not the same objects, find it
     again = eval_Ghat_table(JacobiParams(0.35, -0.65), 12, np.array(nodes))
@@ -302,7 +325,7 @@ def test_table_memo_shares_read_only_tables():
     # a shared table cannot be corrupted by one of its callers
     with pytest.raises(ValueError):
         again[0, 0] = 0.5
-    _tables.clear()
+    _memo.clear()
     fresh = eval_Ghat_table((0.35, -0.65), 12, nodes)
     assert fresh is not first
     assert fresh.tobytes() == first.tobytes()
@@ -313,7 +336,7 @@ def test_table_memo_shares_read_only_tables():
 
 def test_table_memo_key_is_exact():
     x = np.linspace(0.1, 0.9, 9)
-    _tables.clear()
+    _memo.clear()
     first = eval_Ghat_table((0.3, 0.7), 6, x)
     # a node, an exponent or the degree one step apart is a different table
     moved = x.copy()
@@ -321,7 +344,7 @@ def test_table_memo_key_is_exact():
     assert eval_Ghat_table((0.3, 0.7), 6, moved) is not first
     assert eval_Ghat_table((0.3, np.nextafter(0.7, 1.0)), 6, x) is not first
     assert eval_Ghat_table((0.3, 0.7), 5, x) is not first
-    assert len(_tables) == 4
+    assert len(_memo) == 4
     assert eval_Ghat_table((0.3, 0.7), 6, x) is first
 
 
@@ -340,14 +363,14 @@ def test_table_arguments_are_checked_before_the_memo():
 
 def test_table_memo_evicts_the_oldest_past_its_budget():
     N = 127
-    m = _TABLE_MEMO_BYTES // (4 * 8 * (N + 2)) + 1
-    charge = (N + 2) * 8 * m + _TABLE_ENTRY_BYTES
-    assert _TABLE_MEMO_BYTES == 2 << 20
-    assert 3 * charge <= _TABLE_MEMO_BYTES < 4 * charge
-    _tables.clear()
+    m = _MEMO_BYTES // (4 * 8 * (N + 2)) + 1
+    charge = (N + 2) * 8 * m + _ENTRY_BYTES
+    assert _MEMO_BYTES == 2 << 20
+    assert 3 * charge <= _MEMO_BYTES < 4 * charge
+    _memo.clear()
     xs = [np.linspace(0.0, 1.0, m) ** (i + 1) for i in range(4)]
     tables = [eval_Ghat_table((0.0, 0.0), N, x) for x in xs]
-    assert len(_tables) == 3 and _tables.nbytes == 3 * charge
+    assert len(_memo) == 3 and _memo.nbytes == 3 * charge
     for x, table in zip(xs[1:], tables[1:]):
         assert eval_Ghat_table((0.0, 0.0), N, x) is table
     assert eval_Ghat_table((0.0, 0.0), N, xs[0]) is not tables[0]
@@ -355,11 +378,11 @@ def test_table_memo_evicts_the_oldest_past_its_budget():
 
 def test_table_over_the_budget_is_returned_but_not_kept():
     x = np.linspace(0.0, 1.0, 10001)
-    _tables.clear()
+    _memo.clear()
     big = eval_Ghat_table((0.3, 0.7), 40, x)
-    assert big.nbytes > _TABLE_MEMO_BYTES
+    assert big.nbytes > _MEMO_BYTES
     assert big.shape == (10001, 41) and not big.flags.writeable
-    assert len(_tables) == 0 and _tables.nbytes == 0
+    assert len(_memo) == 0 and _memo.nbytes == 0
     assert eval_Ghat_table((0.3, 0.7), 40, x) is not big
 
 

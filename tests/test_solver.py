@@ -1,5 +1,7 @@
 """End-to-end solves: exact recoveries, diagnostics, variant behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,8 +10,8 @@ from fracspec.assembly import ProblemSpec, assemble_system
 from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import solve_beta
 from fracspec.experiments import run_comparison, run_convergence
-from fracspec.jacobi import JacobiParams, _rule, _tables, eval_Ghat_table
-from fracspec.solver import Solution, solve
+from fracspec.jacobi import JacobiParams, _memo, eval_Ghat_table
+from fracspec.solver import Solution, eval_solutions, solve
 from fracspec.spaces import error_norms
 from reference_math import gamma
 
@@ -103,6 +105,19 @@ def test_boundary_values_exactly_zero():
     assert np.array_equal(ends, [0.0, 0.0])
 
 
+def test_solution_rejects_points_outside_the_interval():
+    fp = solve_beta(1.4, 0.4)
+    spec = ProblemSpec(fp=fp, variant="acute", k=_one, b=np.exp,
+                       c=lambda x: 5.0 + np.sin(x), f=_one, N=12)
+    sols = [solve(spec), solve(dataclasses.replace(spec, variant="grave"))]
+    with pytest.raises(ValueError, match=r"\[0, 1\], got x=2\.0"):
+        sols[0].u(2.0)
+    with pytest.raises(ValueError, match=r"got x=-0\.5"):
+        sols[0].u(np.array([-0.5, 0.5, 1.5, np.nan]))
+    with pytest.raises(ValueError, match=r"got x=nan"):
+        eval_solutions(sols, np.array([0.25, np.nan]))
+
+
 def test_diagnostics_contents():
     fp = solve_beta(1.3, 0.5)
     spec = ProblemSpec(fp=fp, variant="acute", k=lambda x: 1.0 + 2.0 * x,
@@ -140,13 +155,12 @@ def test_memoised_rules_solve_as_fresh_ones():
     spec = ProblemSpec(fp=solve_beta(1.3, 0.5), variant="acute",
                        k=lambda x: 1.0 + 2.0 * x, b=np.exp,
                        c=lambda x: 5.0 + np.sin(x), f=_one, N=40)
-    _rule.cache_clear()
-    _tables.clear()
+    _memo.clear()
     cold = solve(spec)
-    misses, tables = _rule.cache_info().misses, len(_tables)
+    entries = len(_memo)
     warm = solve(spec)
-    assert _rule.cache_info().misses == misses
-    assert len(_tables) == tables == 6
+    # 4 rules and 6 tables; a rebuild would have added an entry
+    assert len(_memo) == entries == 10
     assert np.array_equal(cold.phi.coeffs, warm.phi.coeffs)
     assert cold.diagnostics == warm.diagnostics
 
@@ -165,12 +179,11 @@ def test_memoised_tables_study_as_fresh_ones():
         columns = [c for r in reports for c in (r.x, r.u_acute, r.u_grave)]
         return rep.rows, rep.predicted, columns
 
-    _rule.cache_clear()
-    _tables.clear()
+    _memo.clear()
     cold = runs()
-    tables = len(_tables)
+    entries = len(_memo)
     warm = runs()
-    assert len(_tables) == tables
+    assert len(_memo) == entries
     assert cold[:2] == warm[:2]
     assert all(np.array_equal(c, w) for c, w in zip(cold[2], warm[2]))
 

