@@ -20,6 +20,8 @@ Matrix orientation: rows are the test index j, columns the trial index i.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -33,6 +35,7 @@ from .jacobi import (
     as_params,
     eval_Ghat_table,
     gauss_jacobi,
+    prefetch,
 )
 
 CoeffFn = Callable[[np.ndarray], np.ndarray]
@@ -40,6 +43,14 @@ CoeffFn = Callable[[np.ndarray], np.ndarray]
 
 class AssemblyError(RuntimeError):
     """Invalid data detected while building the discrete system."""
+
+
+def as_integer(v, what: str) -> int:
+    """v as an int when its value is integral (8 or 8.0), else a ValueError
+    naming what."""
+    if isinstance(v, numbers.Real) and math.isfinite(v) and int(v) == v:
+        return int(v)
+    raise ValueError(f"{what} must be an integer, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,17 @@ class ProblemSpec:
             raise ValueError(
                 f"ProblemSpec: variant must be 'acute' or 'grave', got {self.variant!r}"
             )
+        object.__setattr__(self, "N", as_integer(self.N, "ProblemSpec: N"))
         if self.N < 1:
             raise ValueError(f"ProblemSpec: N must be at least 1, got {self.N}")
-        if self.quad_points is not None and self.quad_points < self.N + 20:
-            raise ValueError(
-                f"ProblemSpec: quad_points must be at least N+20 = {self.N + 20}, "
-                f"got {self.quad_points}"
-            )
+        if self.quad_points is not None:
+            q = as_integer(self.quad_points, "ProblemSpec: quad_points")
+            object.__setattr__(self, "quad_points", q)
+            if q < self.N + 20:
+                raise ValueError(
+                    f"ProblemSpec: quad_points must be at least N+20 = {self.N + 20}, "
+                    f"got {q}"
+                )
 
     @property
     def q(self) -> int:
@@ -192,9 +207,28 @@ def _shifted(p: JacobiParams) -> JacobiParams:
     return JacobiParams(p.a - 1.0, p.b - 1.0)
 
 
-def _b0_params(spec: ProblemSpec) -> JacobiParams:
-    fp = spec.fp
-    return _shifted(fp.trial if spec.variant == "acute" else fp.test)
+def _inputs(spec: ProblemSpec, block: str):
+    """What block asks for: the weight of its q-point rule, the coefficient it
+    samples on the rule's nodes and the basis tables (family, degree) it
+    reads there.  The blocks and _prefetch both read it."""
+    fp, N, a = spec.fp, spec.N, spec.fp.alpha
+    if block == "B0":
+        p = _shifted(fp.trial if spec.variant == "acute" else fp.test)
+        return p, spec.k, ((p, N + 1),)
+    if block == "B1":
+        tables = ((fp.test, N), (_shifted(fp.trial), N + 1))
+        return JacobiParams(a - 1.0, a - 1.0), spec.b, tables
+    if block == "B2":
+        return JacobiParams(a, a), spec.c, ((fp.trial, N), (fp.test, N))
+    return fp.test, spec.f, ((fp.test, N),)
+
+
+def _prefetch(spec: ProblemSpec, blocks):
+    """Build the rules and tables that blocks will ask for ahead of them
+    (jacobi.prefetch); a block whose coefficient has breakpoints builds its
+    composite rule itself."""
+    inputs = [_inputs(spec, block) for block in blocks]
+    prefetch(spec.q, [(p, tables) for p, fn, tables in inputs if not breaks_of(fn)])
 
 
 def _norm_ratios(fp: FracParams, N: int) -> np.ndarray:
@@ -215,15 +249,15 @@ def assemble_B0(
     the caller has already built it (assemble_system keeps the samples).
     """
     fp, N = spec.fp, spec.N
-    p0 = _b0_params(spec)
-    rule, kv = k_sampled if k_sampled is not None else _rule_for(spec, p0, spec.k)
+    p0, k, tables = _inputs(spec, "B0")
+    rule, kv = k_sampled if k_sampled is not None else _rule_for(spec, p0, k)
     kmin_idx = int(np.argmin(kv))
     if kv[kmin_idx] <= 0.0:
         raise AssemblyError(
             f"diffusivity must be positive: k({rule.nodes[kmin_idx]:.6g}) = "
             f"{kv[kmin_idx]:.6g}"
         )
-    G = eval_Ghat_table(p0, N + 1, rule.nodes)[:, 1:]
+    G = eval_Ghat_table(*tables[0], rule.nodes)[:, 1:]
     core = (G * (rule.weights * kv)[:, None]).T @ G
     nr = _norm_ratios(fp, N)
     idx = np.arange(N + 1)
@@ -241,35 +275,33 @@ def assemble_B1(spec: ProblemSpec) -> np.ndarray:
     """Advection block: pairs b times the derivative of the weighted trial
     function against the test polynomial; combined weight (alpha-1, alpha-1)."""
     fp, N = spec.fp, spec.N
-    a = fp.alpha
-    rule, bv = _rule_for(spec, JacobiParams(a - 1.0, a - 1.0), spec.b)
-    test = eval_Ghat_table(fp.test, N, rule.nodes)
-    dtrial = eval_Ghat_table(_shifted(fp.trial), N + 1, rule.nodes)[:, 1:]
-    idx = np.arange(N + 1)
-    scale = -(idx + 1.0) * _norm_ratios(fp, N)
-    return (test * (rule.weights * bv)[:, None]).T @ (dtrial * scale[None, :])
+    p, b, tables = _inputs(spec, "B1")
+    rule, bv = _rule_for(spec, p, b)
+    test, dtrial = (eval_Ghat_table(t, n, rule.nodes) for t, n in tables)
+    scale = -(np.arange(N + 1) + 1.0) * _norm_ratios(fp, N)
+    return (test * (rule.weights * bv)[:, None]).T @ (dtrial[:, 1:] * scale[None, :])
 
 
 def assemble_B2(spec: ProblemSpec) -> np.ndarray:
     """Reaction block: c against trial times test, weight (alpha, alpha)."""
-    fp, N = spec.fp, spec.N
-    rule, cv = _rule_for(spec, JacobiParams(fp.alpha, fp.alpha), spec.c)
-    trial = eval_Ghat_table(fp.trial, N, rule.nodes)
-    test = eval_Ghat_table(fp.test, N, rule.nodes)
+    p, c, tables = _inputs(spec, "B2")
+    rule, cv = _rule_for(spec, p, c)
+    trial, test = (eval_Ghat_table(t, n, rule.nodes) for t, n in tables)
     return (test * (rule.weights * cv)[:, None]).T @ trial
 
 
 def assemble_rhs(spec: ProblemSpec) -> np.ndarray:
     """Load vector: entry j = integral of omega* f Ghat_j^{(beta,alpha-beta)}."""
-    fp, N = spec.fp, spec.N
-    rule, fv = _rule_for(spec, fp.test, spec.f)
-    test = eval_Ghat_table(fp.test, N, rule.nodes)
+    p, f, tables = _inputs(spec, "rhs")
+    rule, fv = _rule_for(spec, p, f)
+    test = eval_Ghat_table(*tables[0], rule.nodes)
     return test.T @ (rule.weights * fv)
 
 
 def assemble_shared(spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """B1, B2 and the load vector: the blocks that depend on neither k nor
     the variant, only on (fp, b, c, f, N, q)."""
+    _prefetch(spec, ("B1", "B2", "rhs"))
     return assemble_B1(spec), assemble_B2(spec), assemble_rhs(spec)
 
 
@@ -281,11 +313,16 @@ def assemble_system(
 
     shared is assemble_shared of a spec that differs from this one at most
     in k and the variant, so that several diffusivities or both variants
-    assemble those blocks once; None assembles them here.
+    assemble those blocks once; None assembles them here.  The rules and
+    basis tables of the blocks assembled here are built first, all missing
+    rules in one batch and all missing tables in another (_prefetch).
     """
-    k_sampled = _rule_for(spec, _b0_params(spec), spec.k)
+    _prefetch(spec, ("B0", "B1", "B2", "rhs") if shared is None else ("B0",))
+    k_sampled = _rule_for(spec, *_inputs(spec, "B0")[:2])
     B0 = assemble_B0(spec, k_sampled)
-    B1, B2, rhs = assemble_shared(spec) if shared is None else shared
+    if shared is None:
+        shared = assemble_B1(spec), assemble_B2(spec), assemble_rhs(spec)
+    B1, B2, rhs = shared
     # summed as (B0 + B1) + B2 whether or not the blocks are shared, so a
     # shared solve rounds exactly as a fresh one
     A = B0 + B1 + B2

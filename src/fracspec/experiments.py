@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .assembly import ProblemSpec, assemble_shared, assemble_system
+from .assembly import ProblemSpec, as_integer, assemble_shared, assemble_system
 from .coeffexpr import EvalError, breaks_of, sample
 from .fracparams import predicted_rates
 from .solver import eval_solutions, solve
@@ -68,8 +68,9 @@ def coeff_is_zero(fn) -> bool:
 
 def check_degrees(Ns: Sequence[int], N_ref: int) -> list[int]:
     """Ns as a list of ints; a ValueError unless it is nonempty, strictly
-    ascending, and each degree is at least 1 and below N_ref."""
-    Ns = [int(n) for n in Ns]
+    ascending, and each degree is integral (8.0 gives 8), at least 1 and
+    below N_ref."""
+    Ns = [as_integer(n, "Ns: each degree") for n in Ns]
     if not Ns:
         raise ValueError("Ns: need at least one degree")
     if Ns[0] < 1:

@@ -122,21 +122,31 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"eval_Ghat_table: points must form a 1-D array, got shape {x.shape}")
     # the table and the key's copy of the points
-    return _memo.get((p, N, x.tobytes()), (N + 2) * x.nbytes, lambda: _table(p, N, x))
+    return _memo.get((p, N, x.tobytes()), (N + 2) * x.nbytes, lambda: _tables([(p, N, x)])[0])
 
 
-def _table(p: JacobiParams, N: int, x: np.ndarray) -> np.ndarray:
-    d, e = _jacobi_matrix(p.a, p.b, N)
-    V = np.empty((N + 1, x.size))
-    V[0] = _mu0(p.a, p.b) ** -0.5
-    if N >= 1:
-        V[1] = (x - d[0]) * V[0] / e[1]
-    for k in range(1, N):
-        V[k + 1] = ((x - d[k]) * V[k] - e[k] * V[k - 1]) / e[k + 1]
-    # every caller that hits the memo shares V, so it is read-only, and
-    # so is its transpose, a view
-    V.flags.writeable = False
-    return V.T
+def _tables(jobs) -> list:
+    """The tables of eval_Ghat_table for jobs [(p, N, x), ...] on points of
+    one length, from one recurrence over the jobs' stacked rows; rows past a
+    job's N run on with d_k = 0 and e_k = 1 and are dropped.  Each table is
+    the transpose of a row-contiguous array, a copy of its rows when there
+    are several jobs, so products with it round alike however it was built."""
+    m, K = len(jobs), max(N for _, N, _ in jobs)
+    D, E = np.zeros((m, K)), np.ones((m, K + 1))
+    for i, (p, N, _) in enumerate(jobs):
+        D[i, :N], E[i, : N + 1] = _jacobi_matrix(p.a, p.b, N)
+    X, d, e = np.stack([x for _, _, x in jobs]), D.T[:, :, None], E.T[:, :, None]
+    V = np.zeros((m, K + 1, X.shape[1]))
+    W = V.transpose(1, 0, 2)  # W[k] is degree k of every job; W[-1] is 0 at k = 0
+    W[0] = [[_mu0(p.a, p.b) ** -0.5] for p, _, _ in jobs]
+    for k in range(K):
+        W[k + 1] = ((X - d[k]) * W[k] - e[k] * W[k - 1]) / e[k + 1]
+    # every caller that hits the memo shares a table, so it is read-only,
+    # and so is its transpose, a view
+    tables = [V[0]] if m == 1 else [V[i, : N + 1].copy() for i, (_, N, _) in enumerate(jobs)]
+    for T in tables:
+        T.flags.writeable = False
+    return [T.T for T in tables]
 
 
 class _Memo:
@@ -144,12 +154,12 @@ class _Memo:
     recently used first, under one budget of _MEMO_BYTES (2 MiB) in all.
 
     Each entry is charged the bytes of its arrays that its builder names,
-    plus _ENTRY_BYTES for the Python objects around them.  A miss builds the
-    entry and evicts the oldest entries until the total fits the budget
-    again, so rules and tables together never hold more than 2 MiB.  An
-    entry whose charge alone exceeds the budget (a 10001-point output grid
-    at N = 40) is built and returned but never kept.  Every caller shares
-    what the memo keeps, so the builders return read-only arrays.
+    plus _ENTRY_BYTES for the Python objects around them.  Keeping an entry
+    evicts the oldest entries until the total fits the budget again, so
+    rules and tables together never hold more than 2 MiB.  An entry whose
+    charge alone exceeds the budget (a 10001-point output grid at N = 40)
+    is built and returned but never kept.  Every caller shares what the
+    memo keeps, so the builders return read-only arrays.
     """
 
     def __init__(self, budget: int):
@@ -160,14 +170,22 @@ class _Memo:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def peek(self, key):
+        """The object kept under key, else None; the order stays as it is."""
+        entry = self._entries.get(key)
+        return entry and entry[0]
+
     def get(self, key, nbytes: int, build):
-        """The object kept under key, else build() kept at a charge of
-        nbytes + _ENTRY_BYTES if that fits the budget."""
+        """The object kept under key, now the most recent, else put build()."""
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
             return entry[0]
-        obj = build()
+        return self.put(key, build(), nbytes)
+
+    def put(self, key, obj, nbytes: int):
+        """obj, kept under a new key at a charge of nbytes + _ENTRY_BYTES if
+        that fits the budget."""
         charge = nbytes + _ENTRY_BYTES
         if charge <= self.budget:
             self._entries[key] = (obj, charge)
@@ -210,31 +228,61 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
     if n < 1:
         raise ValueError(f"gauss_jacobi: need at least one point, got n={n}")
     # nodes and weights, 8 bytes each per point
-    return _memo.get((p, n), 16 * n, lambda: _rule(p, n))
+    return _memo.get((p, n), 16 * n, lambda: _rules([p], n)[0])
 
 
-def _rule(p: JacobiParams, n: int) -> QuadratureRule:
-    a, b = p.a, p.b
-    d, e = _jacobi_matrix(a, b, n)
-    x = eigh_tridiagonal(d, e[1:n], eigvals_only=True)
-
-    # rows (p_k, p_k') run the same recurrence, with p_k added into the
-    # derivative row; sums accumulates (S, S'/2)
-    Q_prev, Q = np.zeros((2, n)), np.zeros((2, n))
-    Q[0] = _mu0(a, b) ** -0.5
-    sums = np.zeros((2, n))
+def _rules(ps, n: int) -> list:
+    """The n-point rules of gauss_jacobi for the weights ps, from one pass
+    of the recurrence over the stacked rules; each rule owns its arrays."""
+    m = len(ps)
+    D, E, X = np.empty((m, n)), np.empty((m, n + 1)), np.empty((m, n))
+    for i, p in enumerate(ps):
+        d, e = D[i], E[i] = _jacobi_matrix(p.a, p.b, n)
+        X[i] = eigh_tridiagonal(d, e[1:n], eigvals_only=True)
+    # rows (p_k, p_k') of each rule run the same recurrence, with p_k added
+    # into the derivative row; sums accumulates (S, S'/2)
+    Q_prev, Q, sums = np.zeros((3, 2, m, n))
+    Q[0] = [[_mu0(p.a, p.b) ** -0.5] for p in ps]
+    d, e = D.T[:, :, None], E.T[:, :, None]
     for k in range(n):
         sums += Q[0] * Q
-        Q_next = (x - d[k]) * Q - e[k] * Q_prev
+        Q_next = (X - d[k]) * Q - e[k] * Q_prev
         Q_next[1] += Q[0]
         Q_prev, Q = Q, Q_next / e[k + 1]
-    h = Q[0] / Q[1]
-    weights = 1.0 / (sums[0] - 2.0 * h * sums[1])
-    if not np.all(np.isfinite(weights) & (weights > 0)):
-        raise QuadratureError(
-            f"gauss_jacobi: nonpositive or non-finite weight for n={n}, (a={a}, b={b})"
-        )
-    # eigh_tridiagonal returns the eigenvalues in ascending order
-    nodes = x - h
-    nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureRule(p, nodes, weights)
+    rules = []
+    for p, x, h, S, dS in zip(ps, X, Q[0] / Q[1], *sums):
+        weights = 1.0 / (S - 2.0 * h * dS)
+        if not np.all(np.isfinite(weights) & (weights > 0)):
+            raise QuadratureError(
+                f"gauss_jacobi: nonpositive or non-finite weight for n={n}, "
+                f"(a={p.a}, b={p.b})"
+            )
+        # eigh_tridiagonal returns the eigenvalues in ascending order
+        nodes = x - h
+        nodes.flags.writeable = weights.flags.writeable = False
+        rules.append(QuadratureRule(p, nodes, weights))
+    return rules
+
+
+def prefetch(n: int, blocks) -> None:
+    """Build into the memo, for blocks [(p, [(family, N), ...]), ...], the
+    n-point rule of each weight p and the tables on its nodes: the missing
+    rules in one batch, then the missing tables in one more.  Nothing is
+    built when every rule is kept (one look-up each, which leaves the order
+    alone), nor when the new rules and tables would not all fit the budget,
+    where some would be evicted before their block asked, and built twice."""
+    rules = {p: _memo.peek((p, n)) for p, _ in blocks}
+    missing = [p for p, rule in rules.items() if rule is None]
+    if not missing:
+        return
+    tables = dict.fromkeys((t, N, p) for p, ts in blocks for t, N in ts)
+    # each charged as gauss_jacobi and eval_Ghat_table charge it
+    sizes = [16 * n] * len(missing) + [(N + 2) * 8 * n for _, N, _ in tables]
+    if sum(sizes) + len(sizes) * _ENTRY_BYTES > _memo.budget:
+        return
+    for p, rule in zip(missing, _rules(missing, n)):
+        rules[p] = _memo.put((p, n), rule, 16 * n)
+    jobs = [(t, N, rules[p].nodes) for t, N, p in tables]
+    jobs = [(t, N, x) for t, N, x in jobs if _memo.peek((t, N, x.tobytes())) is None]
+    for (t, N, x), table in zip(jobs, _tables(jobs) if jobs else []):
+        _memo.put((t, N, x.tobytes()), table, (N + 2) * x.nbytes)

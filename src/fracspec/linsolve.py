@@ -1,10 +1,12 @@
 """Dense direct linear algebra for the spectral systems.
 
-Matrices are plain row-major numpy arrays (the systems stay at or below
-65x65, so there is nothing to gain from sparsity).  Factorization is LU
-with partial pivoting; a pivot smaller than 1e-14 times the largest entry
-of A is treated as singular and reported with its index.  One factor()
-serves both the solve and the condition estimate.
+Matrices are plain row-major numpy arrays.  A system is (N+1)x(N+1), up
+to 2049x2049 at the CLI's MAX_DEGREE of 2048, and dense: a variable
+coefficient couples every test polynomial to every trial one, so there is
+nothing to gain from sparsity.  Factorization is LU with partial
+pivoting; a pivot smaller than 1e-14 times the largest entry of A is
+treated as singular and reported with its index.  One factor() serves
+both the solve and the condition estimate.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The package itself never calls these: they are the independent side of a
 comparison (classical Jacobi values, norms and derivatives, the Gamma and
-beta functions, the test weight omega*, the inverse map beta -> r and the
-sigma_k sequence), so they live next to the tests.
+beta functions, the test weight omega*, the inverse map beta -> r, the
+sigma_k sequence and the one-at-a-time rule and table loops), so they live
+next to the tests.
 """
 
 from __future__ import annotations
@@ -11,9 +12,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from fracspec.fracparams import FracParams, _denominator
-from fracspec.jacobi import JacobiParams, as_params, log_gamma
+from fracspec.jacobi import JacobiParams, _jacobi_matrix, _mu0, as_params, log_gamma
 
 
 def gamma(x: float) -> float:
@@ -192,3 +194,38 @@ def omega_star(fp: FracParams, x):
     a, b = fp.beta, fp.alpha - fp.beta
     x = np.asarray(x, dtype=float)
     return (1.0 - x) ** a * x ** b
+
+
+def gauss_jacobi_loop(p, n: int):
+    """(nodes, weights) of gauss_jacobi's n-point rule for p, one rule at a
+    time: the loop the package ran before it built rules in stacks.  Its
+    batched builder must match this bit for bit."""
+    a, b = as_params(p).a, as_params(p).b
+    d, e = _jacobi_matrix(a, b, n)
+    x = eigh_tridiagonal(d, e[1:n], eigvals_only=True)
+    Q_prev, Q = np.zeros((2, n)), np.zeros((2, n))
+    Q[0] = _mu0(a, b) ** -0.5
+    sums = np.zeros((2, n))
+    for k in range(n):
+        sums += Q[0] * Q
+        Q_next = (x - d[k]) * Q - e[k] * Q_prev
+        Q_next[1] += Q[0]
+        Q_prev, Q = Q, Q_next / e[k + 1]
+    h = Q[0] / Q[1]
+    return x - h, 1.0 / (sums[0] - 2.0 * h * sums[1])
+
+
+def Ghat_table_loop(p, N: int, x) -> np.ndarray:
+    """eval_Ghat_table(p, N, x) one table at a time, as the transpose of a
+    row-contiguous (N+1, len(x)) array: the loop the package ran before it
+    built tables in stacks.  Its batched builder must match this bit for
+    bit, strides included."""
+    a, b = as_params(p).a, as_params(p).b
+    d, e = _jacobi_matrix(a, b, N)
+    V = np.empty((N + 1, len(x)))
+    V[0] = _mu0(a, b) ** -0.5
+    if N >= 1:
+        V[1] = (x - d[0]) * V[0] / e[1]
+    for k in range(1, N):
+        V[k + 1] = ((x - d[k]) * V[k] - e[k] * V[k - 1]) / e[k + 1]
+    return V.T

@@ -54,6 +54,27 @@ def test_problemspec_validation():
     assert ProblemSpec(fp=fp, variant="acute", N=8, quad_points=50, **kw).q == 50
 
 
+def test_problemspec_degree_and_quad_points_are_integers():
+    fp = solve_beta(1.5, 0.5)
+    kw = {"k": _one, "b": _zero, "c": _zero, "f": _one}
+    # an integral float is that integer, as check_degrees takes it
+    spec = ProblemSpec(fp=fp, variant="acute", N=8.0, quad_points=30.0, **kw)
+    assert (spec.N, spec.quad_points, spec.q) == (8, 30, 30)
+    assert type(spec.N) is int and type(spec.quad_points) is int
+    assert assemble_system(spec).matrix.shape == (9, 9)
+    # any other value names its field, where it used to fail inside
+    # gauss_jacobi with a bare TypeError
+    for N, q, match in (
+        (8.5, None, "N must be an integer, got 8.5"),
+        ("8", None, "N must be an integer, got '8'"),
+        (float("nan"), None, "N must be an integer"),
+        (8, 30.5, "quad_points must be an integer, got 30.5"),
+        (8, float("inf"), "quad_points must be an integer"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ProblemSpec(fp=fp, variant="acute", N=N, quad_points=q, **kw)
+
+
 def test_discretesystem_validation():
     A = np.eye(3)
     DiscreteSystem(A, np.ones(3))

@@ -119,6 +119,17 @@ def test_check_degrees_rules():
             check_degrees(Ns, N_ref)
 
 
+def test_check_degrees_rejects_non_integral_degrees(monkeypatch):
+    # 8.5 used to run as N = 8
+    with pytest.raises(ValueError, match="degree must be an integer, got 8.5"):
+        check_degrees([8.5, 10], 12)
+    counts = Counter()
+    _count_calls(monkeypatch, fracspec.experiments, ["assemble_system"], counts)
+    with pytest.raises(ValueError, match="8.5"):
+        run_convergence(_case_a(), [8.5, 10], 12)
+    assert counts == {}
+
+
 def test_run_convergence_checks_degrees_before_assembling(monkeypatch):
     # a degree below 1 used to surface only after the reference solve, as a
     # RuntimeError naming N=0
