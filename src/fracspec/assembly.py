@@ -21,8 +21,8 @@ Matrix orientation: rows are the test index j, columns the trial index i.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +48,9 @@ class AssemblyError(RuntimeError):
 def as_integer(v, what: str) -> int:
     """v as an int when its value is integral (8 or 8.0), else a ValueError
     naming what."""
-    if isinstance(v, numbers.Real) and math.isfinite(v) and int(v) == v:
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)) and math.isfinite(v) and int(v) == v:
         return int(v)
     raise ValueError(f"{what} must be an integer, got {v!r}")
 
@@ -91,6 +93,24 @@ class ProblemSpec:
     @property
     def q(self) -> int:
         return self.quad_points if self.quad_points is not None else self.N + 20
+
+    @cached_property
+    def _blocks(self) -> dict:
+        """What each block reads: the weight of its q-point rule, the
+        coefficient it samples on the nodes, that coefficient's breakpoints
+        and the basis tables (family, degree) it reads there.  The blocks and
+        _prefetch both read this one statement, built once per spec."""
+        fp, N, a = self.fp, self.N, self.fp.alpha
+        p0 = _shifted(fp.trial if self.variant == "acute" else fp.test)
+        test, trial = fp.test, fp.trial
+        blocks = {
+            "B0": (p0, self.k, ((p0, N + 1),)),
+            "B1": (JacobiParams(a - 1.0, a - 1.0), self.b,
+                   ((test, N), (_shifted(trial), N + 1))),
+            "B2": (JacobiParams(a, a), self.c, ((trial, N), (test, N))),
+            "rhs": (test, self.f, ((test, N),)),
+        }
+        return {name: (p, fn, breaks_of(fn), t) for name, (p, fn, t) in blocks.items()}
 
 
 @dataclass(frozen=True)
@@ -180,17 +200,19 @@ def composite_rule(p, n: int, breaks) -> QuadratureRule:
     return QuadratureRule(p, nodes[order], weights[order])
 
 
-def _rule_for(
-    spec: ProblemSpec, p: JacobiParams, fn
-) -> tuple[QuadratureRule, np.ndarray]:
-    """The q-point rule for weight p, split at fn's breakpoints, and fn
-    sampled on its nodes."""
-    breaks = breaks_of(fn)
+def _rule_for(spec: ProblemSpec, block: str) -> tuple[QuadratureRule, np.ndarray]:
+    """block's q-point rule, split at its coefficient's breakpoints, and the
+    coefficient sampled on its nodes."""
+    p, fn, breaks, _ = spec._blocks[block]
     if breaks:
         rule = composite_rule(p, spec.q, breaks)
     else:
         rule = gauss_jacobi(p, spec.q)
     return rule, sample(fn, rule.nodes)
+
+
+def _tables_on(spec: ProblemSpec, block: str, rule: QuadratureRule) -> list:
+    return [eval_Ghat_table(p, N, rule.nodes) for p, N in spec._blocks[block][3]]
 
 
 def k_floor(system: DiscreteSystem) -> tuple[float, float]:
@@ -207,28 +229,12 @@ def _shifted(p: JacobiParams) -> JacobiParams:
     return JacobiParams(p.a - 1.0, p.b - 1.0)
 
 
-def _inputs(spec: ProblemSpec, block: str):
-    """What block asks for: the weight of its q-point rule, the coefficient it
-    samples on the rule's nodes and the basis tables (family, degree) it
-    reads there.  The blocks and _prefetch both read it."""
-    fp, N, a = spec.fp, spec.N, spec.fp.alpha
-    if block == "B0":
-        p = _shifted(fp.trial if spec.variant == "acute" else fp.test)
-        return p, spec.k, ((p, N + 1),)
-    if block == "B1":
-        tables = ((fp.test, N), (_shifted(fp.trial), N + 1))
-        return JacobiParams(a - 1.0, a - 1.0), spec.b, tables
-    if block == "B2":
-        return JacobiParams(a, a), spec.c, ((fp.trial, N), (fp.test, N))
-    return fp.test, spec.f, ((fp.test, N),)
-
-
 def _prefetch(spec: ProblemSpec, blocks):
     """Build the rules and tables that blocks will ask for ahead of them
     (jacobi.prefetch); a block whose coefficient has breakpoints builds its
     composite rule itself."""
-    inputs = [_inputs(spec, block) for block in blocks]
-    prefetch(spec.q, [(p, tables) for p, fn, tables in inputs if not breaks_of(fn)])
+    inputs = [spec._blocks[block] for block in blocks]
+    prefetch(spec.q, [(p, tables) for p, _, breaks, tables in inputs if not breaks])
 
 
 def _norm_ratios(fp: FracParams, N: int) -> np.ndarray:
@@ -249,15 +255,14 @@ def assemble_B0(
     the caller has already built it (assemble_system keeps the samples).
     """
     fp, N = spec.fp, spec.N
-    p0, k, tables = _inputs(spec, "B0")
-    rule, kv = k_sampled if k_sampled is not None else _rule_for(spec, p0, k)
+    rule, kv = k_sampled if k_sampled is not None else _rule_for(spec, "B0")
     kmin_idx = int(np.argmin(kv))
     if kv[kmin_idx] <= 0.0:
         raise AssemblyError(
             f"diffusivity must be positive: k({rule.nodes[kmin_idx]:.6g}) = "
             f"{kv[kmin_idx]:.6g}"
         )
-    G = eval_Ghat_table(*tables[0], rule.nodes)[:, 1:]
+    G = _tables_on(spec, "B0", rule)[0][:, 1:]
     core = (G * (rule.weights * kv)[:, None]).T @ G
     nr = _norm_ratios(fp, N)
     idx = np.arange(N + 1)
@@ -275,26 +280,23 @@ def assemble_B1(spec: ProblemSpec) -> np.ndarray:
     """Advection block: pairs b times the derivative of the weighted trial
     function against the test polynomial; combined weight (alpha-1, alpha-1)."""
     fp, N = spec.fp, spec.N
-    p, b, tables = _inputs(spec, "B1")
-    rule, bv = _rule_for(spec, p, b)
-    test, dtrial = (eval_Ghat_table(t, n, rule.nodes) for t, n in tables)
+    rule, bv = _rule_for(spec, "B1")
+    test, dtrial = _tables_on(spec, "B1", rule)
     scale = -(np.arange(N + 1) + 1.0) * _norm_ratios(fp, N)
     return (test * (rule.weights * bv)[:, None]).T @ (dtrial[:, 1:] * scale[None, :])
 
 
 def assemble_B2(spec: ProblemSpec) -> np.ndarray:
     """Reaction block: c against trial times test, weight (alpha, alpha)."""
-    p, c, tables = _inputs(spec, "B2")
-    rule, cv = _rule_for(spec, p, c)
-    trial, test = (eval_Ghat_table(t, n, rule.nodes) for t, n in tables)
+    rule, cv = _rule_for(spec, "B2")
+    trial, test = _tables_on(spec, "B2", rule)
     return (test * (rule.weights * cv)[:, None]).T @ trial
 
 
 def assemble_rhs(spec: ProblemSpec) -> np.ndarray:
     """Load vector: entry j = integral of omega* f Ghat_j^{(beta,alpha-beta)}."""
-    p, f, tables = _inputs(spec, "rhs")
-    rule, fv = _rule_for(spec, p, f)
-    test = eval_Ghat_table(*tables[0], rule.nodes)
+    rule, fv = _rule_for(spec, "rhs")
+    (test,) = _tables_on(spec, "rhs", rule)
     return test.T @ (rule.weights * fv)
 
 
@@ -318,7 +320,7 @@ def assemble_system(
     rules in one batch and all missing tables in another (_prefetch).
     """
     _prefetch(spec, ("B0", "B1", "B2", "rhs") if shared is None else ("B0",))
-    k_sampled = _rule_for(spec, *_inputs(spec, "B0")[:2])
+    k_sampled = _rule_for(spec, "B0")
     B0 = assemble_B0(spec, k_sampled)
     if shared is None:
         shared = assemble_B1(spec), assemble_B2(spec), assemble_rhs(spec)
