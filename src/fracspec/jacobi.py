@@ -136,11 +136,15 @@ def _tables(jobs) -> list:
     for i, (p, N, _) in enumerate(jobs):
         D[i, :N], E[i, : N + 1] = _jacobi_matrix(p.a, p.b, N)
     X, d, e = np.stack([x for _, _, x in jobs]), D.T[:, :, None], E.T[:, :, None]
-    V = np.zeros((m, K + 1, X.shape[1]))
-    W = V.transpose(1, 0, 2)  # W[k] is degree k of every job; W[-1] is 0 at k = 0
+    V = np.empty((m, K + 1, X.shape[1]))
+    W = V.transpose(1, 0, 2)  # W[k] is degree k of every job
+    W[K] = 0.0  # read as W[-1] = p_{-1} by step k = 0
     W[0] = [[_mu0(p.a, p.b) ** -0.5] for p, _, _ in jobs]
     for k in range(K):
-        W[k + 1] = ((X - d[k]) * W[k] - e[k] * W[k - 1]) / e[k + 1]
+        step = X - d[k]
+        step *= W[k]
+        step -= e[k] * W[k - 1]
+        np.divide(step, e[k + 1], out=W[k + 1])
     # every caller that hits the memo shares a table, so it is read-only,
     # and so is its transpose, a view
     tables = [V[0]] if m == 1 else [V[i, : N + 1].copy() for i, (_, N, _) in enumerate(jobs)]
