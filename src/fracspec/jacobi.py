@@ -12,7 +12,9 @@ where d_k and e_k are the entries of the symmetric tridiagonal Jacobi
 matrix of the weight.  The tables run this recurrence; the rules take
 their nodes from the matrix's eigenvalues and their weights from the same
 recurrence (Golub & Welsch 1969; Gautschi, Orthogonal Polynomials, 2004).
-Both are memoised per process in one byte-bounded memo.
+Both run their recurrence over a stack of rules or tables at once, and
+both are memoised per process in one byte-bounded memo; prefetch builds
+the rules and tables a solve is missing, one stack of each, ahead of it.
 """
 
 from __future__ import annotations
