@@ -37,7 +37,7 @@ from .experiments import check_degrees, coeff_is_zero, run_comparison, run_conve
 from .fracparams import predicted_rates, solve_beta
 from .jacobi import QuadratureError
 from .linsolve import SingularMatrixError
-from .numfmt import g17_cells
+from .numfmt import WIDTH, g17_cells, write_g17
 from .solver import solve
 
 
@@ -211,18 +211,19 @@ def _write_text(path: str, text: str):
 def _write_csv(path: str, header: str, x_cells: np.ndarray, columns):
     """The header, then one line per grid point: its x cell from g17_cells,
     so files on one grid share one formatting of it, then the point's value
-    in each of the equal-length columns, formatted as %.17g does.  The file
-    is one array of cells and separators with its NUL padding deleted,
-    written in one call."""
-    n = len(x_cells)
-    comma = np.full((n, 1), ord(","), dtype=np.uint8)
-    parts = [x_cells]
-    for col in columns:
-        parts += [comma, g17_cells(col)]
-    parts.append(np.full((n, 1), ord("\n"), dtype=np.uint8))
-    body = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+    in each of the equal-length columns, formatted as %.17g does.  Each
+    column is formatted in place into one array of rows, each cell followed
+    by its separator, and the rows are written with their NUL padding
+    deleted."""
+    rows = np.empty((len(x_cells), len(columns) + 1, WIDTH + 1), dtype=np.uint8)
+    rows[:, 0, :WIDTH] = x_cells
+    for j, col in enumerate(columns, 1):
+        write_g17(col, rows[:, j, :WIDTH])
+    rows[:, :, WIDTH] = ord(",")
+    rows[:, -1, WIDTH] = ord("\n")
     with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode("ascii") + body)
+        fh.write(f"{header}\n".encode("ascii"))
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _echo_config(cfg: RunConfig, command: str, q: int):

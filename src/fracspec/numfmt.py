@@ -1,144 +1,225 @@
 """Vectorised "%.17g": each float of an array as a fixed-width row of ASCII
 bytes, padded with NUL bytes that the writer deletes.
 
-For a finite v with 1e-10 <= |v| < 1e15 the 17 significant digits come from
-exact integer arithmetic.  With |v| = m 2^E (m < 2^53) and decade X, they are
-D = m 5^s 2^(E+s) for s = 16 - X, rounded half to even.  m 5^s (s <= 27) is a
-128-bit product of 32-bit limbs held in uint64 words, and -(E + s) lies in
-[1, 61], so D is a right shift of it.  The layout follows C's %g at
-precision 17: fixed notation for -4 <= X < 17, d.ddd...e-XX otherwise, with
-trailing zeros and a bare point dropped.  Every other value (zero, -0.0,
-inf, nan and magnitudes outside the range) is formatted by "%.17g" % v.
+For a finite v with 1e-9 <= |v| < 1e15 the 17 significant digits are
+D = |v| 10^s rounded half to even, s = 16 - X for the decade X of v, and
+come from exact integer arithmetic on the bits of v.  X is read from two
+tables on the biased exponent E: a binade holds at most one power of ten,
+so X is the binade's decade, plus one from the least double not below the
+next power of ten.  With |v| = m 2^(E - 1075) (m < 2^53 with its implicit
+bit) and sh = 1059 + X - E in [1, 57], |v| 10^s = m 5^s 2^-sh.  A float
+product gives D to within 24; m 5^s minus that estimate times 2^sh is then
+below 2^63 in magnitude, so uint64 arithmetic that wraps modulo 2^64 gives
+it exactly, and with it floor(|v| 10^s) and the bits that decide the
+rounding.  Zeros take the path of 1.0 with D = 0.  Non-finite values,
+subnormals and other magnitudes are formatted by "%.17g" % v one by one.
+
+The layout follows C's %g at precision 17: fixed notation for -4 <= X < 17,
+d.ddd...e-XX otherwise, with trailing zeros and a bare point dropped.  A
+column takes a fixed number of passes: the first 8 bytes of each row (sign,
+the "0.000" prefix below 1, the first digit and the point that follows it)
+are one uint64 from a table on (decade, sign, first digit), and the other
+16 digits are four ASCII groups from a table of the 10^4 four-digit
+strings.  Only the rows whose last digit is 0 (10% of a generic column)
+count their trailing zeros, from the groups, and mask them off with the
+point when no digit follows it.  Only rows from 10 up move their integer
+digits over the point, and only rows below 1e-4 move their digits over the
+empty prefix to make room for "e-XX".
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-_LO, _HI = 1e-10, 1e15
-_XMIN, _XMAX = -10, 14  # the decades of the values in [_LO, _HI)
+_LO, _HI = 1e-9, 1e15
+_XMIN, _XMAX = -9, 14  # the decades of the values in [_LO, _HI)
 _U64 = np.uint64
-_M32 = _U64(0xFFFFFFFF)
-_POW5 = np.array([5**s for s in range(28)], dtype=_U64)
-_D_LO, _D_HI = _U64(10**16), _U64(10**17)
+_HALF = _U64(1 << 63)
 
-# A row is [sign][prefix][17 digits and a point][exponent]: the "0.000" of
-# fixed notation below 1, then the digits with a point after the first p of
-# them, then "e-XX".  p is X + 1 in fixed notation from 1 up and 1 in
-# exponent form.  Below 1 the point is in the prefix, and p = 17 puts the
-# body's point after the last digit, where it never shows.  Bytes a value
-# does not use stay NUL.
-_PREFIX, _BODY_LEN, _EXP = 5, 18, 4
-WIDTH = 1 + _PREFIX + _BODY_LEN + _EXP  # >= 24, the longest %.17g string
+
+def _bits(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+_ABS = np.int64((1 << 63) - 1)
+_FRAC = np.int64((1 << 52) - 1)
+_IMPLICIT = np.int64(1 << 52)
+_LO_BITS, _ONE_BITS = np.int64(_bits(_LO)), np.int64(_bits(1.0))
+_FAST_SPAN = _U64(_bits(_HI) - _bits(_LO))
+
+
+def _least_double_from(k: int) -> float:
+    """The least double not below 10^k."""
+    d = float(f"1e{k}")
+    num, den = d.as_integer_ratio()
+    if num * 10 ** max(-k, 0) < den * 10 ** max(k, 0):
+        d = math.nextafter(d, math.inf)
+    return d
+
+
+# per biased exponent E: the decade index X - _XMIN of the binade's least
+# value, and the bits of the least double of the next decade (at most one
+# lies inside a binade, as 10 > 2)
+_THRESH = np.array([_least_double_from(X) for X in range(_XMIN, _XMAX + 2)]).view(np.int64)
+_BINADE_DECADE = np.searchsorted(_THRESH, np.arange(2048) << 52, side="right") - 1
+_NEXT_DECADE = _THRESH[np.minimum(_BINADE_DECADE + 1, len(_THRESH) - 1)]
+
+# per decade index: 10^s rounded, 5^s and 1059 + X, from which
+# sh = 1059 + X - E
+_POW10 = np.array([float(10 ** (16 - X)) for X in range(_XMIN, _XMAX + 1)])
+_POW5 = np.array([5 ** (16 - X) for X in range(_XMIN, _XMAX + 1)], dtype=_U64)
+_SH_BASE = np.array([1059 + X for X in range(_XMIN, _XMAX + 1)], dtype=_U64)
+
+# A row is [sign][prefix][first digit][point][16 digits]: the "0.000" of
+# fixed notation below 1, and the point that follows the first digit in
+# exponent form and from 1 to 10.  From 10 up the point slot is empty until
+# the integer digits move into it; in exponent form the first digit, point
+# and digits move over the empty prefix and "e-XX" follows them.  Bytes a
+# value does not use stay NUL.
+_PREFIX = 5
+_LEAD = 1 + _PREFIX
+_POINT = _LEAD + 1
+_DIGITS = _POINT + 1  # 8: the sign to the point are one uint64
+WIDTH = _DIGITS + 16  # 24, the longest %.17g string
 
 
 def _layout(X: int):
-    """Prefix, p and exponent suffix of the decade X."""
+    """Prefix, point slot and exponent suffix of the decade X."""
     if X >= 0:
-        return "", X + 1, ""
+        return "", "." if X == 0 else "", ""
     if X >= -4:
-        return "0." + "0" * (-X - 1), 17, ""
-    return "", 1, "e-%02d" % -X
+        return "0." + "0" * (-X - 1), "", ""
+    return "", ".", "e-%02d" % -X
 
 
-def _static_rows() -> np.ndarray:
-    rows = []
-    for X in range(_XMIN, _XMAX + 1):
-        prefix, _, suffix = _layout(X)
-        row = b"\0" + prefix.encode().ljust(_PREFIX, b"\0") + b"\0" * _BODY_LEN
-        rows.append(row + suffix.encode().ljust(_EXP, b"\0"))
-    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, WIDTH)
+def _heads() -> np.ndarray:
+    """The first 8 bytes of a row, as one uint64 per (decade, sign, first
+    digit)."""
+    rows = np.zeros((_XMAX - _XMIN + 1, 2, 10, _DIGITS), dtype=np.uint8)
+    for i, X in enumerate(range(_XMIN, _XMAX + 1)):
+        prefix, point, _ = _layout(X)
+        row = b"\0" + prefix.encode().ljust(_PREFIX, b"\0") + b"0" + point.encode()
+        rows[i] = np.frombuffer(row.ljust(_DIGITS, b"\0"), dtype=np.uint8)
+    rows[:, 1, :, 0] = ord("-")
+    rows[:, :, :, _LEAD] += np.arange(10, dtype=np.uint8)
+    return rows.view(np.uint64).ravel()
 
 
-# per decade: the row without sign and digits (as one void item per row, so
-# that picking rows copies whole rows), and where the point goes
-_STATIC = _static_rows().view(np.dtype((np.void, WIDTH))).ravel()
-_POINT_AT = np.array([_layout(X)[1] for X in range(_XMIN, _XMAX + 1)])
-_BODY = 1 + _PREFIX
-_COLS = np.arange(17)
+_HEADS = _heads()
+_SUFFIX = np.array(
+    [list(_layout(X)[2].encode().ljust(4, b"\0")) for X in range(_XMIN, _XMAX + 1)],
+    dtype=np.uint8,
+)
+# the ASCII of 0000 to 9999, one uint32 each, and the trailing zeros of
+# each, 4 for 0000
+_ASCII = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+for _k in range(4):
+    _ASCII[..., _k] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - _k))
+_ASCII = _ASCII.reshape(10**4, 4)
+_GROUPS = _ASCII.view(np.uint32).ravel()
+_TRAILING = np.zeros(10**4, dtype=np.int64)
+_zeros = np.ones(10**4, dtype=bool)
+for _k in range(3, -1, -1):
+    _zeros &= _ASCII[:, _k] == ord("0")
+    _TRAILING += _zeros
+# per number of digits kept (1 to 17), the byte mask of a row, as the uint64
+# of its first 8 bytes and the uint32 of each group: the point stays only if
+# a digit follows it
+_KEEP = np.full((18, WIDTH), 0xFF, dtype=np.uint8)
+for _k in range(1, 18):
+    _KEEP[_k, _DIGITS + _k - 1 :] = 0
+    _KEEP[_k, _POINT] = 0xFF if _k > 1 else 0
+_KEEP_HEAD = _KEEP[:, :_DIGITS].copy().view(np.uint64).ravel()
+_KEEP_QUADS = _KEEP[:, _DIGITS:].copy().view(np.uint32).T.copy()
 
 
-def _shifted(m, e, X):
-    """floor(m 5^s 2^-sh) with s = 16 - X and sh = 53 - e - s, and whether
-    rounding half to even takes it one up."""
-    s = 16 - X
-    p = _POW5[s]
-    sh = (53 - e - s).astype(_U64)
-    m0, m1 = m & _M32, m >> _U64(32)
-    p0, p1 = p & _M32, p >> _U64(32)
-    ll, lh, hl = m0 * p0, m0 * p1, m1 * p0
-    mid = (ll >> _U64(32)) + (lh & _M32) + (hl & _M32)
-    lo = (ll & _M32) | (mid << _U64(32))
-    hi = m1 * p1 + (lh >> _U64(32)) + (hl >> _U64(32)) + (mid >> _U64(32))
-    trunc = (lo >> sh) | (hi << (_U64(64) - sh))
-    rem = lo & ((_U64(1) << sh) - _U64(1))
-    half = _U64(1) << (sh - _U64(1))
-    up = (rem > half) | ((rem == half) & ((trunc & _U64(1)) == _U64(1)))
-    return trunc, up
+def _digits17(a, E, idx):
+    """|v| 10^s rounded half to even, for the bits a of |v|, with s and sh
+    those of the decade index idx and the biased exponent E."""
+    # within 24 of floor(|v| 10^s): two roundings of 2^-53 each, on < 1e17
+    q = (a.view(np.float64) * _POW10[idx]).astype(np.int64).view(_U64)
+    sh = _SH_BASE[idx] - E
+    # the error of q times 2^sh, exactly: it is below 24 2^57 < 2^63 in
+    # magnitude, so the product and the shift may wrap modulo 2^64
+    m = ((a & _FRAC) | _IMPLICIT).view(_U64)
+    r = m * _POW5[idx] - (q << sh)
+    D = q + (r.view(np.int64) >> sh.view(np.int64)).view(_U64)
+    # the rest, as a fraction of 2^64: above one half rounds up, and so
+    # does exactly one half below an odd D
+    D += (r << (_U64(64) - sh)) > _HALF - (D & _U64(1))
+    return D.view(np.int64)
 
 
-def _digit_chars(D, out):
-    """Write the 17 decimal digits of each D, most significant first, as
-    ASCII into the columns of out."""
-    # two uint32 halves: 32-bit division is much cheaper than 64-bit
-    hi = D // _U64(10**9)
-    parts = ((hi.astype(np.uint32), 7, 8),
-             ((D - hi * _U64(10**9)).astype(np.uint32), 16, 9))
-    for d, last, n in parts:
-        for k in range(last, last - n, -1):
-            q = d // np.uint32(10)
-            out[:, k] = d - q * np.uint32(10) + np.uint32(ord("0"))
-            d = q
+def write_g17(values, cells) -> None:
+    """Write "%.17g" % values[i] into row i of the (n, WIDTH) uint8 array
+    cells, padded with NUL.  cells may be a view of rows of a wider array
+    whose bytes within a row are contiguous."""
+    v = np.ascontiguousarray(values, dtype=np.float64).ravel()
+    bits = v.view(np.int64)
+    a = bits & _ABS
+    # false for nan, inf, zeros and subnormals
+    fast = (a - _LO_BITS).view(_U64) < _FAST_SPAN
+    # the other values are computed as 1.0, with D = 0 for the zeros, and
+    # the rest replaced one by one at the end
+    other = np.flatnonzero(~fast)
+    a[other] = _ONE_BITS
+    zero = other[v[other] == 0]
 
+    E = a >> 52
+    idx = _BINADE_DECADE[E] + (a >= _NEXT_DECADE[E])
+    D = _digits17(a, E.view(_U64), idx)
+    D[zero] = 0
 
-def _fast_rows(a, negative):
-    """Rows of the values 1e-10 <= a < 1e15."""
-    f, e = np.frexp(a)
-    m = (f * 2.0**53).astype(_U64)
-    e = e.astype(np.int64)
-    X = np.floor(np.log10(a)).astype(np.int64)
-    trunc, up = _shifted(m, e, X)
-    # correct the decade from the truncated digits: the rounded ones would put
-    # 9.9999999999999995e-08 (the double nearest 1e-07) in the decade of 1e-07
-    fix = np.flatnonzero((trunc < _D_LO) | (trunc >= _D_HI))
-    if fix.size:
-        X[fix] += np.where(trunc[fix] < _D_LO, -1, 1)
-        trunc[fix], up[fix] = _shifted(m[fix], e[fix], X[fix])
-    # rounding never carries into the next decade: the double nearest below
-    # each 10^e in range is at least 4.5e-17 of it away (e = -7, -6), more
-    # than half a unit of the 17th digit, 5e-18 of it
-    D = trunc + up.astype(_U64)
+    lead = D // 10**16
+    rest = D - lead * 10**16
+    head = _HEADS[idx * 20 + (bits < 0) * 10 + lead]
+    hi8 = rest // 10**8
+    lo8 = rest - hi8 * 10**8
+    g1, g3 = hi8 // 10**4, lo8 // 10**4
+    groups = (g1, hi8 - g1 * 10**4, g3, lo8 - g3 * 10**4)
+    quads = [_GROUPS[g] for g in groups]
 
-    row = X - _XMIN
-    rows = _STATIC[row].view(np.uint8).reshape(a.size, WIDTH)
-    rows[:, 0] = np.where(negative, ord("-"), 0)
-    digits = rows[:, _BODY : _BODY + 17]
-    _digit_chars(D, digits)
     # drop trailing zeros, but not the zeros of an integer part
-    nsig = 17 - np.argmax(digits[:, ::-1] != ord("0"), axis=1)
-    keep = np.maximum(nsig, np.maximum(X, 0) + 1)
-    digits *= _COLS < keep[:, None]
-    # the point goes after the first p digits, and only if a digit follows
-    point_at = _POINT_AT[row]
-    for p in np.unique(point_at[point_at < 17]):
-        sel = np.flatnonzero(point_at == p)
-        col = _BODY + p
-        point = np.where(rows[sel, col] != 0, ord("."), 0)
-        rows[sel, col + 1 : _BODY + 18] = rows[sel, col : _BODY + 17]
-        rows[sel, col] = point
-    return rows
+    z = np.flatnonzero(quads[3].view(np.uint8)[3::4] == ord("0"))
+    if z.size:
+        gz = [g[z] for g in groups]
+        tz = _TRAILING[gz[0]]
+        for g in gz[1:]:
+            tz = np.where(g == 0, tz + 4, _TRAILING[g])
+        keep = np.maximum(17 - tz, idx[z] + (_XMIN + 1))
+        head[z] &= _KEEP_HEAD[keep]
+        for q, mask in zip(quads, _KEEP_QUADS):
+            q[z] &= mask[keep]
+    cells[:, :_DIGITS].view(np.uint64)[:, 0] = head
+    for k, q in enumerate(quads):
+        cells[:, _DIGITS + 4 * k : _DIGITS + 4 * k + 4].view(np.uint32)[:, 0] = q
+    # from 10 up, the first X + 1 digits come before the point, and the
+    # point only if a digit follows
+    big = np.flatnonzero(idx > -_XMIN)
+    X_big = idx[big] + _XMIN
+    for X in np.unique(X_big):
+        sel = big[X_big == X]
+        cells[sel, _POINT : _POINT + X] = cells[sel, _DIGITS : _DIGITS + X]
+        cells[sel, _POINT + X] = np.where(cells[sel, _DIGITS + X] != 0, ord("."), 0)
+
+    # below 1e-04, the exponent form: the digits move over the empty prefix
+    tiny = np.flatnonzero(idx < -4 - _XMIN)
+    cells[tiny, 1 : WIDTH - _PREFIX] = cells[tiny, _LEAD:]
+    cells[tiny, WIDTH - _PREFIX : -1] = _SUFFIX[idx[tiny]]
+    cells[tiny, -1] = 0
+
+    for i in other[v[other] != 0]:
+        text = ("%.17g" % v[i]).encode("ascii")
+        cells[i] = 0
+        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
 
 
 def g17_cells(values) -> np.ndarray:
     """(n, WIDTH) uint8 array whose row i, with its NUL bytes deleted, is
     the ASCII of "%.17g" % values[i]."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    a = np.abs(v)
-    fast = (a >= _LO) & (a < _HI)  # false for nan
-    # the rows of the other values are computed for 1.0 and then replaced
-    cells = _fast_rows(np.where(fast, a, 1.0), v < 0)
-    for i in np.flatnonzero(~fast):
-        text = ("%.17g" % v[i]).encode("ascii")
-        cells[i] = 0
-        cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+    cells = np.empty((v.size, WIDTH), dtype=np.uint8)
+    write_g17(v, cells)
     return cells

@@ -260,6 +260,21 @@ def test_compare_pair_bytes_frozen(tmp_path):
         assert hashlib.sha256(raw).hexdigest() == digest, name
 
 
+def test_compare_pair_bytes_frozen_fresh_interpreter(tmp_path):
+    # a cold start, which builds the formatter's tables on import
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracspec.cli", "compare", "--config", _pair_config(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name, digest in PAIR_SHA256.items():
+        raw = _read(tmp_path / "out" / name)
+        assert hashlib.sha256(raw).hexdigest() == digest, name
+
+
 def test_compare_echoes_default_degree(tmp_path):
     # a compare without N runs at N = 40 and q = N + 20, and says so
     cfg = _base(tmp_path, variant=None, grid_points=11)
@@ -412,6 +427,59 @@ def test_format_column_exact_cases(values):
     values = np.asarray(values)
     _assert_cells_match(values)
     _assert_cells_match(-values)
+
+
+def _trailing_zero_values():
+    # few-digit decimals and binary fractions over fixed and exponent
+    # decades: their 17-digit forms end in every count of zeros from 0 to 16
+    m = np.array([1, 2, 5, 7, 25, 125, 375, 1001, 12345, 123456, 1234567,
+                  12345678, 987654321, 1234567890123, 12345678901234567], dtype=float)
+    decimals = np.concatenate([m * 10.0**j for j in range(-24, 16)])
+    k = np.arange(1, 65, dtype=float)
+    return np.concatenate([decimals, np.concatenate([k * 2.0**-j for j in range(0, 60)])])
+
+
+def _mixed_column():
+    """At least 10001 values, shuffled: the exact range of the vectorised
+    path, both zeros, subnormals, values just outside the range on either
+    side, infinities and nan, and every trailing-zero count."""
+    rng = np.random.default_rng(18)
+    fast = 10.0 ** rng.uniform(-9, 15, 6000) * rng.choice([-1.0, 1.0], 6000)
+    others = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e-11,
+              -1e-11, 1e-10, 1e-300, 1e15, -1e15, 1e16, 1e17, 1.5e300,
+              np.inf, -np.inf, np.nan]
+    tz = _trailing_zero_values()
+    values = np.concatenate([fast, np.repeat(others, 40), tz, -tz])
+    return values[rng.permutation(values.size)]
+
+
+def _digits_and_form(v):
+    """The trailing zeros of the 17 significant digits of v, and whether
+    %.17g writes v in exponent form."""
+    mantissa, exponent = ("%.16e" % v).split("e")
+    digits = mantissa.lstrip("-").replace(".", "")
+    return len(digits) - len(digits.rstrip("0")), not -4 <= int(exponent) < 17
+
+
+def test_mixed_column_covers_every_trailing_zero_count():
+    values = _mixed_column()
+    assert values.size >= 10001
+    finite = values[np.isfinite(values) & (values != 0)]
+    seen = {_digits_and_form(v) for v in finite.tolist()}
+    assert seen >= {(t, e) for t in range(17) for e in (False, True)}
+
+
+def test_format_long_mixed_column():
+    _assert_cells_match(_mixed_column())
+
+
+def test_write_csv_long_mixed_columns(tmp_path):
+    x = _mixed_column()
+    columns = [x, -x[::-1], x * np.pi]
+    path = tmp_path / "out.csv"
+    _write_csv(str(path), "x,a,b", g17_cells(x), columns[1:])
+    got = _read(path).decode().split("\n")
+    assert got == _per_value_csv("x,a,b", columns).split("\n")
 
 
 # --------------------------------------------------------------- exit codes
