@@ -46,9 +46,9 @@ class AssemblyError(RuntimeError):
 
 
 def as_integer(v, what: str) -> int:
-    """v as an int when its value is integral (8 or 8.0), else a ValueError
-    naming what."""
-    if isinstance(v, (int, np.integer)):
+    """v as an int when its value is integral (8 or 8.0) and v is not a
+    bool, else a ValueError naming what."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
         return int(v)
     if isinstance(v, (float, np.floating)) and math.isfinite(v) and int(v) == v:
         return int(v)

@@ -8,8 +8,8 @@ The JSON config carries the problem parameters and coefficient expressions;
 --out overrides its "output" field.  Exit codes: 0 success, 1 config error,
 2 numerical failure (AssemblyError, SingularMatrixError, QuadratureError or
 EvalError); any other exception is a fault of the program and propagates.
-load_config reads every key through one table of kinds and integer ranges,
-_SETTINGS; settings above MAX_DEGREE (N, N_ref, Ns), MAX_QUAD_POINTS and
+load_config reads every key by the kind and integer range its RunConfig
+field carries; settings above MAX_DEGREE (N, N_ref, Ns), MAX_QUAD_POINTS and
 MAX_GRID_POINTS are config errors, and so is an Ns that check_degrees
 rejects, read or not.  Each command parses every expression set
 and builds its ProblemSpec (_build_spec: FracParams checks alpha and r,
@@ -26,12 +26,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional
 
 import numpy as np
 
-from .assembly import AssemblyError, ProblemSpec, assemble_system
+from .assembly import AssemblyError, ProblemSpec, as_integer, assemble_system
 from .coeffexpr import EvalError, ParseError, parse
 from .experiments import check_degrees, coeff_is_zero, run_comparison, run_convergence
 from .fracparams import predicted_rates, solve_beta
@@ -64,43 +64,38 @@ def _is_numerical(exc: Exception) -> bool:
     )
 
 
+def _kind(kind, least=None, most=None, default=MISSING):
+    """A RunConfig field read as kind: a number, a string, a tuple of its
+    choices, or an integer or a list of integers in [least, most].  A least
+    of None leaves the bound to ProblemSpec, as FracParams checks alpha and
+    r; a given Ns meets the rest of experiments.check_degrees under every
+    command."""
+    return field(default=default, metadata={"kind": (kind, least, most)})
+
+
 @dataclass
 class RunConfig:
     """Schema-checked run description; a key the config leaves out takes
     its default here."""
 
-    alpha: float
-    r: float
-    b: str
-    c: str
-    f: str
-    output: str
-    variant: Optional[str] = None
-    k: Optional[str] = None
-    k1: Optional[str] = None
-    k2: Optional[str] = None
-    N: Optional[int] = None
-    N_ref: int = 40
-    Ns: Optional[list] = None
-    quad_points: Optional[int] = None
-    grid_points: int = 1001
+    alpha: float = _kind(float)
+    r: float = _kind(float)
+    b: str = _kind(str)
+    c: str = _kind(str)
+    f: str = _kind(str)
+    output: str = _kind(str)
+    variant: Optional[str] = _kind(("acute", "grave"), default=None)
+    k: Optional[str] = _kind(str, default=None)
+    k1: Optional[str] = _kind(str, default=None)
+    k2: Optional[str] = _kind(str, default=None)
+    N: Optional[int] = _kind(int, None, MAX_DEGREE, default=None)
+    N_ref: int = _kind(int, 1, MAX_DEGREE, default=40)
+    Ns: Optional[list] = _kind(list, 1, MAX_DEGREE, default=None)
+    quad_points: Optional[int] = _kind(int, None, MAX_QUAD_POINTS, default=None)
+    grid_points: int = _kind(int, 2, MAX_GRID_POINTS, default=1001)
 
 
-# every RunConfig key's kind: a number, a string, a tuple of its choices, or
-# an integer or a list of integers in [least, most].  A least of None leaves
-# the bound to ProblemSpec, as FracParams checks alpha and r; a given Ns
-# meets the rest of experiments.check_degrees under every command.
-_SETTINGS = {
-    "alpha": (float,),
-    "r": (float,),
-    **dict.fromkeys(("b", "c", "f", "output", "k", "k1", "k2"), (str,)),
-    "variant": (("acute", "grave"),),
-    "N": (int, None, MAX_DEGREE),
-    "N_ref": (int, 1, MAX_DEGREE),
-    "Ns": (list, 1, MAX_DEGREE),
-    "quad_points": (int, None, MAX_QUAD_POINTS),
-    "grid_points": (int, 2, MAX_GRID_POINTS),
-}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _require(cond: bool, msg: str):
@@ -116,42 +111,32 @@ def _is_number(v) -> bool:
     )
 
 
-def _is_integral(v) -> bool:
-    """A JSON integer, or a finite float with an integral value; not a bool."""
-    if isinstance(v, int):
-        return not isinstance(v, bool)
-    return _is_number(v) and v == int(v)
-
-
-def _in_range(key: str, v: int, least: Optional[int], most: int) -> int:
-    _require(
-        least is None or v >= least, f"config: {key} must be at least {least}, got {v}"
-    )
-    _require(v <= most, f"config: '{key}' must be at most {most}, got {v}")
-    return v
-
-
 def _setting(key: str, v):
-    """The value v of key, checked against its row of _SETTINGS."""
-    kind, *bounds = _SETTINGS[key]
+    """The value v of key, checked against the kind its field carries."""
+    kind, least, most = _FIELDS[key].metadata["kind"]
     if kind is float:
         _require(_is_number(v), f"config: '{key}' must be a finite number, got {v!r}")
         return float(v)
     if kind is str:
         _require(isinstance(v, str), f"config: '{key}' must be a string, got {v!r}")
-    elif kind is int:
-        _require(_is_integral(v), f"config: '{key}' must be an integer, got {v!r}")
-        v = _in_range(key, int(v), *bounds)
-    elif kind is list:
-        _require(
-            isinstance(v, list) and v and all(map(_is_integral, v)),
-            f"config: '{key}' must be a nonempty list of integers, got {v!r}",
-        )
-        v = [_in_range(key, int(n), *bounds) for n in v]
-    else:
+        return v
+    if isinstance(kind, tuple):
         choices = " or ".join(map(repr, kind))
         _require(v in kind, f"config: '{key}' must be {choices}, got {v!r}")
-    return v
+        return v
+    items = [v] if kind is int else v if isinstance(v, list) else []
+    what = "an integer" if kind is int else "a nonempty list of integers"
+    try:
+        ns = [as_integer(n, key) for n in items]
+    except ValueError:
+        ns = []
+    _require(ns, f"config: '{key}' must be {what}, got {v!r}")
+    for n in ns:
+        _require(
+            least is None or n >= least, f"config: {key} must be at least {least}, got {n}"
+        )
+        _require(n <= most, f"config: '{key}' must be at most {most}, got {n}")
+    return ns[0] if kind is int else ns
 
 
 def load_config(path: str, out_override: Optional[str], command: str) -> RunConfig:
@@ -163,7 +148,7 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     _require(isinstance(raw, dict), "config: top level must be a JSON object")
-    unknown = set(raw) - set(_SETTINGS)
+    unknown = set(raw) - set(_FIELDS)
     _require(not unknown, f"config: unknown keys {sorted(unknown)}")
     if out_override:
         raw["output"] = out_override
@@ -171,7 +156,7 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
         raw.get("output"),
         "config: an output directory is required ('output' key or --out)",
     )
-    required = [f.name for f in fields(RunConfig) if f.default is MISSING]
+    required = [key for key, f in _FIELDS.items() if f.default is MISSING]
     missing = [key for key in required if key not in raw]
     _require(not missing, f"config: missing required keys {missing}")
     cfg = RunConfig(**{key: _setting(key, v) for key, v in raw.items()})
@@ -368,10 +353,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config, args.out, args.command)
-    except ConfigError as exc:
-        print(f"fracspec: {exc}", file=sys.stderr)
-        return 1
-    try:
         return _COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(f"fracspec: {exc}", file=sys.stderr)

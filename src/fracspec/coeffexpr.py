@@ -214,108 +214,101 @@ class _Parser:
         self.depth = 0
         self.x_reads = 0  # occurrences of x parsed so far
 
-    def _byte_offset(self, pos=None) -> int:
-        if pos is None:
-            pos = self.pos
-        return len(self.src[:pos].encode("utf-8"))
+    def _error(self, message: str, pos=None) -> ParseError:
+        """A ParseError at the UTF-8 byte offset of pos, by default self.pos."""
+        pos = self.pos if pos is None else pos
+        return ParseError(message, len(self.src[:pos].encode("utf-8")))
 
-    def _skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
+    def _scan(self, accept) -> str:
+        """Advance past the characters accept(ch) holds for; returns them."""
+        start = self.pos
+        while self.pos < len(self.src) and accept(self.src[self.pos]):
             self.pos += 1
+        return self.src[start : self.pos]
 
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
+        self._scan(str.isspace)
+        return self.src[self.pos : self.pos + 1]
+
+    def _take(self, chars: str) -> str:
+        """The next non-space character if it is one of chars, consumed; else ''."""
+        ch = self._peek()
+        if ch and ch in chars:
+            self.pos += 1
+            return ch
+        return ""
 
     def _expect(self, ch: str):
-        if self._peek() != ch:
+        if not self._take(ch):
             found = self._peek() or "end of input"
-            raise ParseError(f"expected '{ch}', found '{found}'", self._byte_offset())
-        self.pos += 1
+            raise self._error(f"expected '{ch}', found '{found}'")
 
     def _enter(self):
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            raise ParseError("expression too deeply nested", self._byte_offset())
+            raise self._error("expression too deeply nested")
 
     def parse(self) -> Expr:
-        self._skip_ws()
-        if self.pos >= len(self.src):
-            raise ParseError("empty expression", self._byte_offset())
+        if not self._peek():
+            raise self._error("empty expression")
         e = self.expr()
         if self._peek():
-            raise ParseError(
-                f"unexpected trailing input '{self._peek()}'", self._byte_offset()
-            )
+            raise self._error(f"unexpected trailing input '{self._peek()}'")
         return e
 
+    # expr and factor count nesting depth; a ParseError ends the parse, so
+    # only a normal return steps back out
     def expr(self) -> Expr:
         self._enter()
-        try:
-            e = self.term()
-            while self._peek() in ("+", "-"):
-                op = self.src[self.pos]
-                self.pos += 1
-                e = BinOp(op, e, self.term())
-            return e
-        finally:
-            self.depth -= 1
+        e = self.term()
+        while op := self._take("+-"):
+            e = BinOp(op, e, self.term())
+        self.depth -= 1
+        return e
 
     def term(self) -> Expr:
         e = self.factor()
-        while self._peek() in ("*", "/"):
-            op = self.src[self.pos]
-            self.pos += 1
+        while op := self._take("*/"):
             e = BinOp(op, e, self.factor())
         return e
 
     def factor(self) -> Expr:
         self._enter()
-        try:
-            if self._peek() == "-":
-                self.pos += 1
-                return Neg(self.factor())
+        if self._take("-"):
+            e = Neg(self.factor())
+        else:
             e = self.primary()
-            if self._peek() == "^":
-                self.pos += 1
+            if self._take("^"):
                 e = BinOp("^", e, self.factor())
-            return e
-        finally:
-            self.depth -= 1
+        self.depth -= 1
+        return e
 
     def primary(self) -> Expr:
         ch = self._peek()
         start = self.pos
-        if ch == "(":
-            self.pos += 1
+        if self._take("("):
             e = self.expr()
             self._expect(")")
             return e
         if ch.isdigit() or ch == ".":
             return self.number()
-        if ch.isalpha() or ch == "_":
-            name = self.ident()
-            if name == "x":
-                self.x_reads += 1
-                return Var()
-            if self._peek() != "(":
-                raise ParseError(
-                    f"unknown identifier '{name}'", self._byte_offset(start)
-                )
-            self.pos += 1
-            if name == "piecewise":
-                return self.piecewise(start)
-            if name not in _FUNCS:
-                raise ParseError(f"unknown function '{name}'", self._byte_offset(start))
-            arg = self.expr()
-            if self._peek() in (";", ","):
-                raise ParseError(
-                    f"'{name}' takes exactly one argument", self._byte_offset()
-                )
-            self._expect(")")
-            return Call(name, arg)
-        found = ch or "end of input"
-        raise ParseError(f"expected a value, found '{found}'", self._byte_offset())
+        if not (ch.isalpha() or ch == "_"):
+            raise self._error(f"expected a value, found '{ch or 'end of input'}'")
+        name = self._scan(lambda c: c.isalnum() or c == "_")
+        if name == "x":
+            self.x_reads += 1
+            return Var()
+        if not self._take("("):
+            raise self._error(f"unknown identifier '{name}'", start)
+        if name == "piecewise":
+            return self.piecewise(start)
+        if name not in _FUNCS:
+            raise self._error(f"unknown function '{name}'", start)
+        arg = self.expr()
+        if self._peek() in (";", ","):
+            raise self._error(f"'{name}' takes exactly one argument")
+        self._expect(")")
+        return Call(name, arg)
 
     def piecewise(self, start: int) -> Expr:
         x_reads_before = self.x_reads
@@ -326,58 +319,37 @@ class _Parser:
         self._expect(";")
         right = self.expr()
         if self._peek() == ";":
-            raise ParseError(
-                "'piecewise' takes exactly three ';'-separated arguments",
-                self._byte_offset(),
-            )
+            raise self._error("'piecewise' takes exactly three ';'-separated arguments")
         self._expect(")")
         if x0_reads_x:
-            raise ParseError(
-                "piecewise breakpoint must be a constant expression",
-                self._byte_offset(start),
-            )
+            raise self._error("piecewise breakpoint must be a constant expression", start)
         try:
             x0 = x0_expr.eval(0.0)
         except EvalError as exc:
-            raise ParseError(
-                f"piecewise breakpoint failed to fold: {exc}", self._byte_offset(start)
-            ) from None
+            msg = f"piecewise breakpoint failed to fold: {exc}"
+            raise self._error(msg, start) from None
         return Piecewise(x0, left, right)
-
-    def ident(self) -> str:
-        start = self.pos
-        while self.pos < len(self.src) and (
-            self.src[self.pos].isalnum() or self.src[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.src[start : self.pos]
 
     def number(self) -> Expr:
         start = self.pos
-        s = self.src
-        while self.pos < len(s) and s[self.pos].isdigit():
+        self._scan(str.isdigit)
+        if self.src.startswith(".", self.pos):
             self.pos += 1
-        if self.pos < len(s) and s[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(s) and s[self.pos].isdigit():
-                self.pos += 1
-        if self.pos < len(s) and s[self.pos] in "eE":
+            self._scan(str.isdigit)
+        if self.src.startswith(("e", "E"), self.pos):
             mark = self.pos
             self.pos += 1
-            if self.pos < len(s) and s[self.pos] in "+-":
+            if self.src.startswith(("+", "-"), self.pos):
                 self.pos += 1
-            if self.pos < len(s) and s[self.pos].isdigit():
-                while self.pos < len(s) and s[self.pos].isdigit():
-                    self.pos += 1
-            else:
+            if not self._scan(str.isdigit):
                 self.pos = mark  # bare 'e' belongs to a following identifier error
-        text = s[start : self.pos]
+        text = self.src[start : self.pos]
         try:
             value = float(text)
         except ValueError:
-            raise ParseError(f"bad number '{text}'", self._byte_offset(start)) from None
+            raise self._error(f"bad number '{text}'", start) from None
         if not math.isfinite(value):
-            raise ParseError(f"number '{text}' overflows", self._byte_offset(start))
+            raise self._error(f"number '{text}' overflows", start)
         return Num(value)
 
 

@@ -64,6 +64,13 @@ def as_params(p) -> JacobiParams:
     return JacobiParams(float(a), float(b))
 
 
+def _size(n) -> int:
+    """operator.index(n), refusing a bool as it refuses a float."""
+    if isinstance(n, bool):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return operator.index(n)
+
+
 def log_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0.  Every Gamma ratio in the package
     goes through it, so that ratios like Gamma(k+alpha)/Gamma(k+1) never
@@ -117,7 +124,7 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
     bytes of x, so a hit returns the very array an earlier call built.
     """
     p = as_params(p)
-    N = operator.index(N)
+    N = _size(N)
     if N < 0:
         raise ValueError(f"eval_Ghat_table: need degree N >= 0, got N={N}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -230,7 +237,7 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
     exponents and n, so a hit returns the very rule an earlier call built.
     """
     p = as_params(p)
-    n = operator.index(n)
+    n = _size(n)
     if n < 1:
         raise ValueError(f"gauss_jacobi: need at least one point, got n={n}")
     # nodes and weights, 8 bytes each per point

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -25,12 +25,6 @@ class Solution:
     def u(self, x):
         """Pointwise solution u(x) = omega(x) phi(x); zero at both endpoints."""
         return eval_solution([self.phi], x)[0]
-
-
-def eval_solutions(sols: Sequence[Solution], x) -> list:
-    """u(x) of each solution, all from one basis table on x; the solutions
-    must share fp and N.  Each u equals its own Solution.u(x) bit for bit."""
-    return eval_solution([s.phi for s in sols], x)
 
 
 def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solution:

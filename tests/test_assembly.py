@@ -75,6 +75,16 @@ def test_problemspec_degree_and_quad_points_are_integers():
             ProblemSpec(fp=fp, variant="acute", N=N, quad_points=q, **kw)
 
 
+def test_problemspec_refuses_bool_sizes():
+    # True is an int to Python, and used to solve at N = 1
+    fp = solve_beta(1.5, 0.5)
+    kw = {"k": _one, "b": _zero, "c": _zero, "f": _one}
+    with pytest.raises(ValueError, match="ProblemSpec: N must be an integer, got True"):
+        ProblemSpec(fp=fp, variant="acute", N=True, **kw)
+    with pytest.raises(ValueError, match="quad_points must be an integer, got False"):
+        ProblemSpec(fp=fp, variant="acute", N=1, quad_points=False, **kw)
+
+
 def test_discretesystem_validation():
     A = np.eye(3)
     DiscreteSystem(A, np.ones(3))

@@ -11,7 +11,10 @@ in the ordinary suite.  It only reads perfbench/.
 import json
 from pathlib import Path
 
+import numpy as np
+
 import fracspec.cli
+import fracspec.coeffexpr
 import fracspec.experiments
 import fracspec.solver
 from fracspec.assembly import ProblemSpec
@@ -117,6 +120,29 @@ def test_traced_two_diffusivity_comparison(monkeypatch):
     layers = {span[0] for span in tracer.spans}
     assert layers >= set(SOLVE_LAYERS) | {"spaces.eval_solution"}
     assert tracer.counts["linsolve.factorizations"] == 4
+
+
+def test_traced_coefficients_keep_their_breakpoints(monkeypatch):
+    # the tracer hands back its own wrapper for every parsed coefficient;
+    # compare splits its quadrature at the breakpoints the wrapper reports,
+    # so they must be the bare node's, or traced runs build unsplit rules
+    srcs = ["piecewise(0.5; 1; 10)", "1+abs(x-0.37)"]
+    traced = []
+
+    def parse_at_both_bindings():
+        for parse_at in (fracspec.cli.parse, fracspec.coeffexpr.parse):
+            traced.extend(parse_at(src) for src in srcs)
+
+    _traced(monkeypatch, parse_at_both_bindings)
+    from tracing import TracedExpr
+
+    xs = np.linspace(0.0, 1.0, 101)
+    for src, wrapped in zip(srcs * 2, traced):
+        bare = parse(src)
+        assert isinstance(wrapped, TracedExpr)
+        assert wrapped.breakpoints() == bare.breakpoints() != []
+        assert wrapped.pretty() == bare.pretty()
+        assert np.array_equal(wrapped(xs), bare(xs))
 
 
 def test_traced_cli_compare(monkeypatch, tmp_path):

@@ -308,6 +308,20 @@ def _readme_config():
     return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
 
 
+# SHA-256 of convergence.csv for the README's config, taken before the
+# config reader was shortened; the bytes must not move
+README_CONVERGENCE_SHA256 = (
+    "690f36486a5c3409c95e58035431c04a12904c8ccafd16b21ce2ef3de3771309"
+)
+
+
+def test_converge_bytes_frozen(tmp_path):
+    cfg = _write_config(tmp_path / "run.json", **_readme_config())
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    raw = _read(tmp_path / "out" / "convergence.csv")
+    assert hashlib.sha256(raw).hexdigest() == README_CONVERGENCE_SHA256
+
+
 # config.json of each command on the README's config, minus "output": every
 # setting given or defaulted, the command, and the q the run ran at
 README_ECHO_COMMON = {
@@ -480,6 +494,125 @@ def test_write_csv_long_mixed_columns(tmp_path):
     _write_csv(str(path), "x,a,b", g17_cells(x), columns[1:])
     got = _read(path).decode().split("\n")
     assert got == _per_value_csv("x,a,b", columns).split("\n")
+
+
+# --------------------------------------------------------- config messages
+
+# one config per check of the config reader: the command, the changes to a
+# solvable config (None drops the key), and the whole stderr line after
+# "fracspec: "
+CONFIG_MESSAGES = [
+    ("solve", dict(alpha="1.3"), "config: 'alpha' must be a finite number, got '1.3'"),
+    ("solve", dict(alpha=True), "config: 'alpha' must be a finite number, got True"),
+    ("solve", dict(r=float("inf")), "config: 'r' must be a finite number, got inf"),
+    ("solve", dict(b=1), "config: 'b' must be a string, got 1"),
+    ("solve", dict(k=None, k1=["1"]), "config: 'k1' must be a string, got ['1']"),
+    (
+        "solve",
+        dict(variant="oblique"),
+        "config: 'variant' must be 'acute' or 'grave', got 'oblique'",
+    ),
+    ("solve", dict(N="eight"), "config: 'N' must be an integer, got 'eight'"),
+    ("solve", dict(N=8.5), "config: 'N' must be an integer, got 8.5"),
+    ("solve", dict(N=True), "config: 'N' must be an integer, got True"),
+    ("solve", dict(quad_points=float("nan")), "config: 'quad_points' must be an integer, got nan"),
+    ("solve", dict(grid_points=1), "config: grid_points must be at least 2, got 1"),
+    ("solve", dict(N_ref=0), "config: N_ref must be at least 1, got 0"),
+    ("solve", dict(quad_points=4097), "config: 'quad_points' must be at most 4096, got 4097"),
+    ("solve", dict(N=10**20), "config: 'N' must be at most 2048, got 100000000000000000000"),
+    ("converge", dict(Ns=8), "config: 'Ns' must be a nonempty list of integers, got 8"),
+    ("converge", dict(Ns=[]), "config: 'Ns' must be a nonempty list of integers, got []"),
+    (
+        "converge",
+        dict(Ns=[8, True]),
+        "config: 'Ns' must be a nonempty list of integers, got [8, True]",
+    ),
+    (
+        "converge",
+        dict(Ns=[8, 8.5]),
+        "config: 'Ns' must be a nonempty list of integers, got [8, 8.5]",
+    ),
+    # every degree must be an integer before any is checked against its bounds
+    (
+        "converge",
+        dict(Ns=[5000, "a"]),
+        "config: 'Ns' must be a nonempty list of integers, got [5000, 'a']",
+    ),
+    ("converge", dict(Ns=[0, 8]), "config: Ns must be at least 1, got 0"),
+    ("converge", dict(Ns=[8, 4096]), "config: 'Ns' must be at most 2048, got 4096"),
+    ("converge", dict(Ns=[8, 6]), "config: Ns: degrees must be strictly ascending, got [8, 6]"),
+    (
+        "converge",
+        dict(Ns=[8, 10], N_ref=10),
+        "config: Ns: max degree 10 must stay below N_ref=10",
+    ),
+    ("solve", dict(flux=1, zeta=2), "config: unknown keys ['flux', 'zeta']"),
+    (
+        "solve",
+        dict(output=None),
+        "config: an output directory is required ('output' key or --out)",
+    ),
+    ("solve", dict(f=None, alpha=None), "config: missing required keys ['alpha', 'f']"),
+    ("solve", dict(variant=None), "config: 'solve' needs a 'variant'"),
+    ("solve", dict(k=None), "config: 'solve' needs a diffusivity 'k'"),
+    ("solve", dict(N=None), "config: 'solve' needs a degree 'N'"),
+    ("converge", dict(variant=None, Ns=[8, 10]), "config: 'converge' needs a 'variant'"),
+    ("converge", dict(k=None, Ns=[8, 10]), "config: 'converge' needs a diffusivity 'k'"),
+    ("converge", dict(), "config: 'converge' needs a list 'Ns'"),
+    (
+        "compare",
+        dict(k=None, k1="1+x"),
+        "config: 'compare' needs either 'k' or the pair 'k1' and 'k2'",
+    ),
+    ("compare", dict(k2="1+x"), "config: give 'k' or 'k1'/'k2', not both"),
+    (
+        "solve",
+        dict(k="1+*x"),
+        "config: bad expression for 'k': expected a value, found '*' (byte 2)",
+    ),
+    (
+        "compare",
+        dict(k=None, k1="1", k2="exp(ü"),
+        "config: bad expression for 'k2': unknown identifier 'ü' (byte 4)",
+    ),
+    ("solve", dict(alpha=2.5), "FracParams: alpha must lie in (1,2), got 2.5"),
+    ("solve", dict(N=0), "ProblemSpec: N must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("command, changes, message", CONFIG_MESSAGES)
+def test_config_error_messages_frozen(tmp_path, capsys, command, changes, message):
+    cfg = _base(tmp_path, **{"N": 8, "grid_points": 11, **changes})
+    raw = json.loads((tmp_path / "run.json").read_text())
+    _write_config(
+        tmp_path / "run.json", **{k: v for k, v in raw.items() if v is not None}
+    )
+    assert main([command, "--config", cfg]) == 1
+    assert capsys.readouterr().err == f"fracspec: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "config: top level must be a JSON object"),
+        (
+            "{not json",
+            "config {path} is not valid JSON: Expecting property name enclosed in "
+            "double quotes: line 1 column 2 (char 1)",
+        ),
+        (
+            None,
+            "cannot read config {path}: [Errno 2] No such file or directory: '{path}'",
+        ),
+    ],
+)
+def test_unreadable_config_messages_frozen(tmp_path, capsys, text, message):
+    path = tmp_path / "run.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["solve", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"fracspec: {message.format(path=path)}\n"
 
 
 # --------------------------------------------------------------- exit codes

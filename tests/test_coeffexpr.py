@@ -112,6 +112,57 @@ def test_unknown_identifier_and_arity():
     assert "three" in str(err.value)
 
 
+# one input per place the parser raises, with its whole message and byte
+# offset; the later rows put multi-byte characters before the error, so the
+# byte offset runs past the character index
+PARSE_ERRORS = [
+    (None, "expression source must be text (byte 0)", 0),
+    (" \t", "empty expression (byte 2)", 2),
+    ("1 2", "unexpected trailing input '2' (byte 2)", 2),
+    ("(1", "expected ')', found 'end of input' (byte 2)", 2),
+    ("(1,2)", "expected ')', found ',' (byte 2)", 2),
+    ("(" * 300 + "1", "expression too deeply nested (byte 200)", 200),
+    ("-" * 1000 + "1", "expression too deeply nested (byte 399)", 399),
+    ("1+*x", "expected a value, found '*' (byte 2)", 2),
+    ("y+1", "unknown identifier 'y' (byte 0)", 0),
+    ("foo(1)", "unknown function 'foo' (byte 0)", 0),
+    ("abs(1,2)", "'abs' takes exactly one argument (byte 5)", 5),
+    (
+        "piecewise(0.5; 1; 2; 3)",
+        "'piecewise' takes exactly three ';'-separated arguments (byte 19)",
+        19,
+    ),
+    (
+        "piecewise(x; 1; 2)",
+        "piecewise breakpoint must be a constant expression (byte 0)",
+        0,
+    ),
+    (
+        "piecewise(log(0); 1; 2)",
+        "piecewise breakpoint failed to fold: domain error evaluating 'log(0.0)': "
+        "divide by zero encountered in log (byte 0)",
+        0,
+    ),
+    ("2*.", "bad number '.' (byte 2)", 2),
+    ("1e400", "number '1e400' overflows (byte 0)", 0),
+    ("1.5ex", "unexpected trailing input 'e' (byte 3)", 3),
+    ("piecewise(0.5; 1; 2)\u00a0\u00a0y", "unexpected trailing input 'y' (byte 24)", 24),
+    ("2*µ² + exp(ü", "unknown identifier 'µ²' (byte 2)", 2),
+    ("µ + exp(ü", "unknown identifier 'µ' (byte 0)", 0),
+    ("x*é + (ü", "unknown identifier 'é' (byte 2)", 2),
+    ("exp(²) ", "bad number '²' (byte 4)", 4),
+    ("sqrt(٣) µ ^ 2", "unexpected trailing input 'µ' (byte 9)", 9),
+]
+
+
+@pytest.mark.parametrize("src, message, offset", PARSE_ERRORS)
+def test_parse_error_messages_frozen(src, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(src)
+    assert str(err.value) == message
+    assert err.value.offset == offset
+
+
 def test_deep_nesting_is_rejected_not_crashed():
     src = "(" * 5000 + "1" + ")" * 5000
     with pytest.raises(ParseError):

@@ -119,6 +119,12 @@ def test_check_degrees_rules():
             check_degrees(Ns, N_ref)
 
 
+def test_check_degrees_refuses_bools():
+    # [True, 2] used to pass as [1, 2]
+    with pytest.raises(ValueError, match="degree must be an integer, got True"):
+        check_degrees([True, 2], 4)
+
+
 def test_check_degrees_rejects_non_integral_degrees(monkeypatch):
     # 8.5 used to run as N = 8
     with pytest.raises(ValueError, match="degree must be an integer, got 8.5"):

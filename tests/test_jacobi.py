@@ -282,6 +282,14 @@ def test_rule_arguments_are_checked_before_the_memo():
         gauss_jacobi((0.3, 0.7), 0)
 
 
+def test_gauss_jacobi_refuses_a_bool_size():
+    # True equals 1 and hashes like it, so it would find the kept 1-point
+    # rule; it is refused as a float size is
+    gauss_jacobi((0.3, 0.7), 1)
+    with pytest.raises(TypeError, match="'bool' object cannot be interpreted as an integer"):
+        gauss_jacobi((0.3, 0.7), True)
+
+
 def test_gauss_jacobi_memo_is_bounded():
     n = 8
     charge = 16 * n + _ENTRY_BYTES
@@ -346,6 +354,14 @@ def test_table_memo_key_is_exact():
     assert eval_Ghat_table((0.3, 0.7), 5, x) is not first
     assert len(_memo) == 4
     assert eval_Ghat_table((0.3, 0.7), 6, x) is first
+
+
+def test_eval_Ghat_table_refuses_a_bool_degree():
+    # True equals 1, so it would find the kept N = 1 table
+    x = np.linspace(0.1, 0.9, 4)
+    eval_Ghat_table((0.3, 0.7), 1, x)
+    with pytest.raises(TypeError, match="'bool' object cannot be interpreted as an integer"):
+        eval_Ghat_table((0.3, 0.7), True, x)
 
 
 def test_table_arguments_are_checked_before_the_memo():

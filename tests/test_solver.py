@@ -11,8 +11,8 @@ from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import solve_beta
 from fracspec.experiments import run_comparison, run_convergence
 from fracspec.jacobi import JacobiParams, _memo, eval_Ghat_table
-from fracspec.solver import Solution, eval_solutions, solve
-from fracspec.spaces import error_norms
+from fracspec.solver import Solution, solve
+from fracspec.spaces import error_norms, eval_solution
 from reference_math import gamma
 
 
@@ -115,7 +115,7 @@ def test_solution_rejects_points_outside_the_interval():
     with pytest.raises(ValueError, match=r"got x=-0\.5"):
         sols[0].u(np.array([-0.5, 0.5, 1.5, np.nan]))
     with pytest.raises(ValueError, match=r"got x=nan"):
-        eval_solutions(sols, np.array([0.25, np.nan]))
+        eval_solution([s.phi for s in sols], np.array([0.25, np.nan]))
 
 
 def test_diagnostics_contents():
