@@ -133,7 +133,7 @@ def _setting(key: str, v):
     _require(ns, f"config: '{key}' must be {what}, got {v!r}")
     for n in ns:
         _require(
-            least is None or n >= least, f"config: {key} must be at least {least}, got {n}"
+            least is None or n >= least, f"config: '{key}' must be at least {least}, got {n}"
         )
         _require(n <= most, f"config: '{key}' must be at most {most}, got {n}")
     return ns[0] if kind is int else ns

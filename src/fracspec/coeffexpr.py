@@ -38,6 +38,9 @@ _OPS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np
 
 _MAX_DEPTH = 400
 
+# numbers are written in ASCII digits, though float() reads other digits too
+_DIGITS = frozenset("0123456789")
+
 
 class ParseError(ValueError):
     """Syntax or arity problem, carrying the byte offset into the source."""
@@ -290,7 +293,7 @@ class _Parser:
             e = self.expr()
             self._expect(")")
             return e
-        if ch.isdigit() or ch == ".":
+        if ch in _DIGITS or ch == ".":
             return self.number()
         if not (ch.isalpha() or ch == "_"):
             raise self._error(f"expected a value, found '{ch or 'end of input'}'")
@@ -332,16 +335,16 @@ class _Parser:
 
     def number(self) -> Expr:
         start = self.pos
-        self._scan(str.isdigit)
+        self._scan(_DIGITS.__contains__)
         if self.src.startswith(".", self.pos):
             self.pos += 1
-            self._scan(str.isdigit)
+            self._scan(_DIGITS.__contains__)
         if self.src.startswith(("e", "E"), self.pos):
             mark = self.pos
             self.pos += 1
             if self.src.startswith(("+", "-"), self.pos):
                 self.pos += 1
-            if not self._scan(str.isdigit):
+            if not self._scan(_DIGITS.__contains__):
                 self.pos = mark  # bare 'e' belongs to a following identifier error
         text = self.src[start : self.pos]
         try:

@@ -10,9 +10,10 @@ These are the orthonormal polynomials of the weight, so they satisfy
 
 where d_k and e_k are the entries of the symmetric tridiagonal Jacobi
 matrix of the weight.  The tables run this recurrence; the rules take
-their nodes from the matrix's eigenvalues and their weights from the same
-recurrence (Golub & Welsch 1969; Gautschi, Orthogonal Polynomials, 2004).
-Both run their recurrence over a stack of rules or tables at once, and
+their nodes from the matrix's eigenvalues (LAPACK dstevd) and their
+weights from the same recurrence (Golub & Welsch 1969; Gautschi,
+Orthogonal Polynomials, 2004).  Both build the matrices of a stack of
+weights in one pass and run their recurrence over the stack at once, and
 both are memoised per process in one byte-bounded memo; prefetch builds
 the rules and tables a solve is missing, one stack of each, ahead of it.
 """
@@ -25,11 +26,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstevd
 
 
 class QuadratureError(RuntimeError):
-    """A Gauss-Jacobi rule came out with a nonpositive or non-finite weight."""
+    """A Gauss-Jacobi rule came out with a nonpositive or non-finite weight or no nodes."""
 
 
 @dataclass(frozen=True)
@@ -80,25 +81,27 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _jacobi_matrix(a: float, b: float, n: int):
-    """Recurrence coefficients of the orthonormal polynomials for
-    omega^{(a,b)} on (0,1): d[k] = d_k for 0 <= k < n and e[k] = e_k for
-    1 <= k <= n, with e[0] = 0.
+def _jacobi_matrices(ps, n: int):
+    """Recurrence coefficients of the orthonormal polynomials for each
+    omega^{(a,b)} in ps on (0,1), one row per weight: D[:, k] = d_k for
+    0 <= k < n and E[:, k] = e_k for 1 <= k <= n, with E[:, 0] = 0.
 
     d_0 and e_1 are written in closed form, because the general entries
     divide by a+b and by 1+a+b there.
     """
+    a, b = np.array([(p.a, p.b) for p in ps]).T[:, :, None]
     s = a + b
-    d = np.empty(n)
-    e = np.zeros(n + 1)
-    d[:1] = (b + 1.0) / (s + 2.0)
-    e[1:2] = math.sqrt((1.0 + a) * (1.0 + b) / ((s + 2.0) ** 2 * (s + 3.0)))
+    D, E = np.empty((len(ps), n)), np.zeros((len(ps), n + 1))
+    D[:, :1] = (b + 1.0) / (s + 2.0)
+    # e_1 in Python floats, whose ** is pow, not numpy's square
+    E[:, 1:2] = [[math.sqrt((1.0 + p.a) * (1.0 + p.b) / ((t + 2.0) ** 2 * (t + 3.0)))]
+                 for p, t in zip(ps, s.ravel().tolist())]
     c = 2.0 * np.arange(1.0, n) + s
-    d[1:] = 0.5 + 0.5 * (b * b - a * a) / (c * (c + 2.0))
+    D[:, 1:] = 0.5 + 0.5 * (b * b - a * a) / (c * (c + 2.0))
     k = np.arange(2.0, n + 1)
     c = 2.0 * k + s
-    e[2:] = np.sqrt(k * (k + a) * (k + b) * (k + s) / (c * c * (c + 1.0) * (c - 1.0)))
-    return d, e
+    E[:, 2:] = np.sqrt(k * (k + a) * (k + b) * (k + s) / (c * c * (c + 1.0) * (c - 1.0)))
+    return D, E
 
 
 def _mu0(a: float, b: float) -> float:
@@ -137,13 +140,11 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
 def _tables(jobs) -> list:
     """The tables of eval_Ghat_table for jobs [(p, N, x), ...] on points of
     one length, from one recurrence over the jobs' stacked rows; rows past a
-    job's N run on with d_k = 0 and e_k = 1 and are dropped.  Each table is
+    job's N run on with its own d_k and e_k and are dropped.  Each table is
     the transpose of a row-contiguous array, a copy of its rows when there
     are several jobs, so products with it round alike however it was built."""
     m, K = len(jobs), max(N for _, N, _ in jobs)
-    D, E = np.zeros((m, K)), np.ones((m, K + 1))
-    for i, (p, N, _) in enumerate(jobs):
-        D[i, :N], E[i, : N + 1] = _jacobi_matrix(p.a, p.b, N)
+    D, E = _jacobi_matrices([p for p, _, _ in jobs], K)
     X, d, e = np.stack([x for _, _, x in jobs]), D.T[:, :, None], E.T[:, :, None]
     V = np.empty((m, K + 1, X.shape[1]))
     W = V.transpose(1, 0, 2)  # W[k] is degree k of every job
@@ -247,19 +248,24 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
 def _rules(ps, n: int) -> list:
     """The n-point rules of gauss_jacobi for the weights ps, from one pass
     of the recurrence over the stacked rules; each rule owns its arrays."""
-    m = len(ps)
-    D, E, X = np.empty((m, n)), np.empty((m, n + 1)), np.empty((m, n))
-    for i, p in enumerate(ps):
-        d, e = D[i], E[i] = _jacobi_matrix(p.a, p.b, n)
-        X[i] = eigh_tridiagonal(d, e[1:n], eigvals_only=True)
+    D, E = _jacobi_matrices(ps, n)
+    X = D.copy()  # the nodes: a 1 x 1 matrix's eigenvalue is its d_0
+    for i, p in enumerate(ps) if n > 1 else ():
+        X[i], _, info = dstevd(D[i], E[i, 1:n], compute_v=0)
+        if info:
+            raise QuadratureError(f"gauss_jacobi: LAPACK dstevd failed with info={info} "
+                                  f"for n={n}, (a={p.a}, b={p.b})")
     # rows (p_k, p_k') of each rule run the same recurrence, with p_k added
     # into the derivative row; sums accumulates (S, S'/2)
-    Q_prev, Q, sums = np.zeros((3, 2, m, n))
+    Q_prev, Q, sums = np.zeros((3, 2, len(ps), n))
     Q[0] = [[_mu0(p.a, p.b) ** -0.5] for p in ps]
-    d, e = D.T[:, :, None], E.T[:, :, None]
+    # X - d_k for `rows` steps at a time, at most 8 MiB however large n is
+    e, rows = E.T[:, :, None], max(1, (1 << 20) // X.size)
     for k in range(n):
+        if k % rows == 0:
+            X_d = X - D.T[k : k + rows, :, None]
         sums += Q[0] * Q
-        Q_next = (X - d[k]) * Q - e[k] * Q_prev
+        Q_next = X_d[k % rows] * Q - e[k] * Q_prev
         Q_next[1] += Q[0]
         Q_prev, Q = Q, Q_next / e[k + 1]
     rules = []
@@ -270,7 +276,7 @@ def _rules(ps, n: int) -> list:
                 f"gauss_jacobi: nonpositive or non-finite weight for n={n}, "
                 f"(a={p.a}, b={p.b})"
             )
-        # eigh_tridiagonal returns the eigenvalues in ascending order
+        # dstevd returns the eigenvalues in ascending order
         nodes = x - h
         nodes.flags.writeable = weights.flags.writeable = False
         rules.append(QuadratureRule(p, nodes, weights))

@@ -3,8 +3,8 @@
 The package itself never calls these: they are the independent side of a
 comparison (classical Jacobi values, norms and derivatives, the Gamma and
 beta functions, the test weight omega*, the inverse map beta -> r, the
-sigma_k sequence and the one-at-a-time rule and table loops), so they live
-next to the tests.
+sigma_k sequence, and the one-at-a-time Jacobi matrix, rule and table
+loops), so they live next to the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from fracspec.fracparams import FracParams, _denominator
-from fracspec.jacobi import JacobiParams, _jacobi_matrix, _mu0, as_params, log_gamma
+from fracspec.jacobi import JacobiParams, _mu0, as_params, log_gamma
 
 
 def gamma(x: float) -> float:
@@ -196,12 +196,34 @@ def omega_star(fp: FracParams, x):
     return (1.0 - x) ** a * x ** b
 
 
+def jacobi_matrix(a: float, b: float, n: int):
+    """Recurrence coefficients of the orthonormal polynomials for
+    omega^{(a,b)} on (0,1), one weight at a time: d[k] = d_k for 0 <= k < n
+    and e[k] = e_k for 1 <= k <= n, with e[0] = 0.  The package's stacked
+    build must match this bit for bit.
+
+    d_0 and e_1 are written in closed form, because the general entries
+    divide by a+b and by 1+a+b there.
+    """
+    s = a + b
+    d = np.empty(n)
+    e = np.zeros(n + 1)
+    d[:1] = (b + 1.0) / (s + 2.0)
+    e[1:2] = math.sqrt((1.0 + a) * (1.0 + b) / ((s + 2.0) ** 2 * (s + 3.0)))
+    c = 2.0 * np.arange(1.0, n) + s
+    d[1:] = 0.5 + 0.5 * (b * b - a * a) / (c * (c + 2.0))
+    k = np.arange(2.0, n + 1)
+    c = 2.0 * k + s
+    e[2:] = np.sqrt(k * (k + a) * (k + b) * (k + s) / (c * c * (c + 1.0) * (c - 1.0)))
+    return d, e
+
+
 def gauss_jacobi_loop(p, n: int):
     """(nodes, weights) of gauss_jacobi's n-point rule for p, one rule at a
     time: the loop the package ran before it built rules in stacks.  Its
     batched builder must match this bit for bit."""
     a, b = as_params(p).a, as_params(p).b
-    d, e = _jacobi_matrix(a, b, n)
+    d, e = jacobi_matrix(a, b, n)
     x = eigh_tridiagonal(d, e[1:n], eigvals_only=True)
     Q_prev, Q = np.zeros((2, n)), np.zeros((2, n))
     Q[0] = _mu0(a, b) ** -0.5
@@ -221,7 +243,7 @@ def Ghat_table_loop(p, N: int, x) -> np.ndarray:
     built tables in stacks.  Its batched builder must match this bit for
     bit, strides included."""
     a, b = as_params(p).a, as_params(p).b
-    d, e = _jacobi_matrix(a, b, N)
+    d, e = jacobi_matrix(a, b, N)
     V = np.empty((N + 1, len(x)))
     V[0] = _mu0(a, b) ** -0.5
     if N >= 1:

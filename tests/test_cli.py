@@ -206,7 +206,7 @@ def test_converge_quad_points_below_n_ref_exits_1(tmp_path, capsys):
 def test_converge_nonpositive_first_degree_exits_1(tmp_path, capsys):
     cfg = _base(tmp_path, Ns=[0, 8], N_ref=12)
     assert main(["converge", "--config", cfg]) == 1
-    assert "Ns must be at least 1" in capsys.readouterr().err
+    assert "'Ns' must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -516,8 +516,8 @@ CONFIG_MESSAGES = [
     ("solve", dict(N=8.5), "config: 'N' must be an integer, got 8.5"),
     ("solve", dict(N=True), "config: 'N' must be an integer, got True"),
     ("solve", dict(quad_points=float("nan")), "config: 'quad_points' must be an integer, got nan"),
-    ("solve", dict(grid_points=1), "config: grid_points must be at least 2, got 1"),
-    ("solve", dict(N_ref=0), "config: N_ref must be at least 1, got 0"),
+    ("solve", dict(grid_points=1), "config: 'grid_points' must be at least 2, got 1"),
+    ("solve", dict(N_ref=0), "config: 'N_ref' must be at least 1, got 0"),
     ("solve", dict(quad_points=4097), "config: 'quad_points' must be at most 4096, got 4097"),
     ("solve", dict(N=10**20), "config: 'N' must be at most 2048, got 100000000000000000000"),
     ("converge", dict(Ns=8), "config: 'Ns' must be a nonempty list of integers, got 8"),
@@ -538,7 +538,7 @@ CONFIG_MESSAGES = [
         dict(Ns=[5000, "a"]),
         "config: 'Ns' must be a nonempty list of integers, got [5000, 'a']",
     ),
-    ("converge", dict(Ns=[0, 8]), "config: Ns must be at least 1, got 0"),
+    ("converge", dict(Ns=[0, 8]), "config: 'Ns' must be at least 1, got 0"),
     ("converge", dict(Ns=[8, 4096]), "config: 'Ns' must be at most 2048, got 4096"),
     ("converge", dict(Ns=[8, 6]), "config: Ns: degrees must be strictly ascending, got [8, 6]"),
     (
@@ -654,7 +654,7 @@ def test_zero_setting_exits_1_not_defaulted(tmp_path, capsys, key):
     # 0 is a value given, not a missing key: it must not turn into the default
     cfg = _base(tmp_path, N=8, **{key: 0})
     assert main(["solve", "--config", cfg]) == 1
-    assert f"{key} must be at least" in capsys.readouterr().err
+    assert f"'{key}' must be at least" in capsys.readouterr().err
     assert not (tmp_path / "out" / "solution.csv").exists()
 
 

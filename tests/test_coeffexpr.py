@@ -150,8 +150,9 @@ PARSE_ERRORS = [
     ("2*µ² + exp(ü", "unknown identifier 'µ²' (byte 2)", 2),
     ("µ + exp(ü", "unknown identifier 'µ' (byte 0)", 0),
     ("x*é + (ü", "unknown identifier 'é' (byte 2)", 2),
-    ("exp(²) ", "bad number '²' (byte 4)", 4),
-    ("sqrt(٣) µ ^ 2", "unexpected trailing input 'µ' (byte 9)", 9),
+    # numbers are ASCII digits only, whatever float() would read
+    ("exp(²) ", "expected a value, found '²' (byte 4)", 4),
+    ("sqrt(٣) µ ^ 2", "expected a value, found '٣' (byte 5)", 5),
 ]
 
 

@@ -54,7 +54,8 @@ def _root(arr):
     return arr
 
 
-@pytest.mark.parametrize("n", [1, 2, 28, 84, 148])
+# at n = 600 the stack of five takes X - d_k in several chunks of steps
+@pytest.mark.parametrize("n", [1, 2, 28, 84, 148, 600])
 def test_stacked_rules_match_one_at_a_time(n):
     for p, rule, alone in zip(WEIGHTS, _rules(WEIGHTS, n),
                               [_rules([p], n)[0] for p in WEIGHTS]):
@@ -84,6 +85,40 @@ def test_stacked_tables_match_one_at_a_time(N):
             # a table of a stack is its own copy, and a lone table is built
             # in place, never copied out of a larger array
             assert _root(got).size == got.size
+
+
+def _sweep_weights(count=200, seed=23):
+    """count seeded weights with exponents in (-1, 3), about one in five
+    with an exponent within 1e-3 of -1, cut into stacks of one to six."""
+    rng = np.random.default_rng(seed)
+    ab = rng.uniform(-1.0, 3.0, size=(count, 2))
+    near = rng.random((count, 2)) < 0.1
+    ab[near] = -1.0 + rng.uniform(1e-6, 1e-3, size=near.sum())
+    ps = [JacobiParams(float(a), float(b)) for a, b in ab]
+    cuts = np.cumsum(rng.integers(1, 7, size=count))
+    return rng, [ps[i:j] for i, j in zip([0, *cuts], cuts) if i < count]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 28, 84, 148])
+def test_seeded_sweep_of_rules_matches_one_at_a_time(n):
+    _, stacks = _sweep_weights()
+    for ps in stacks:
+        for p, rule in zip(ps, _rules(ps, n)):
+            nodes, weights = gauss_jacobi_loop(p, n)
+            assert np.array_equal(rule.nodes, nodes), p
+            assert np.array_equal(rule.weights, weights), p
+
+
+def test_seeded_sweep_of_tables_matches_one_at_a_time():
+    # each stack mixes the degrees, so rows run on past a job's own N
+    rng, stacks = _sweep_weights()
+    for ps in stacks:
+        x = np.sort(rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40))))
+        jobs = [(p, int(rng.choice([0, 1, 12, 64])), x) for p in ps]
+        for (p, N, _), table in zip(jobs, _tables(jobs)):
+            want = Ghat_table_loop(p, N, x)
+            assert np.array_equal(table, want), (p, N)
+            assert table.strides == want.strides
 
 
 def _record_batches(monkeypatch):
@@ -181,3 +216,13 @@ def test_failed_rule_batch_keeps_no_failing_rule(monkeypatch):
     with pytest.raises(QuadratureError, match=r"n=12, \(a=0.25, b=0.5\)"):
         gauss_jacobi(bad, 12)
     assert _memo.nbytes == _charges()
+
+
+def test_failed_eigenvalues_raise_and_keep_nothing(monkeypatch):
+    _memo.clear()
+    monkeypatch.setattr(fracspec.jacobi, "dstevd", lambda d, e, compute_v: (d, None, 3))
+    with pytest.raises(QuadratureError, match=r"dstevd failed with info=3 for n=12, \(a=0.25, b=0.5\)"):
+        gauss_jacobi((0.25, 0.5), 12)
+    assert len(_memo) == 0
+    # a one-point rule's node is its d_0, with no call to LAPACK
+    assert gauss_jacobi((0.25, 0.5), 1).nodes[0] == (0.5 + 1.0) / (0.25 + 0.5 + 2.0)
