@@ -3,19 +3,24 @@
 The package itself never calls these: they are the independent side of a
 comparison (classical Jacobi values, norms and derivatives, the Gamma and
 beta functions, the test weight omega*, the inverse map beta -> r, the
-sigma_k sequence, and the one-at-a-time Jacobi matrix, rule and table
-loops), so they live next to the tests.
+sigma_k sequence, the one-at-a-time Jacobi matrix, rule and table
+loops, and the solve path's checked LU, triangular solve, condition
+estimate and relative residual as first written), so they live next to
+the tests.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from fracspec.fracparams import FracParams, _denominator
 from fracspec.jacobi import JacobiParams, _mu0, as_params, log_gamma
+from fracspec.linsolve import SingularMatrixError
 
 
 def gamma(x: float) -> float:
@@ -251,3 +256,60 @@ def Ghat_table_loop(p, N: int, x) -> np.ndarray:
     for k in range(1, N):
         V[k + 1] = ((x - d[k]) * V[k] - e[k] * V[k - 1]) / e[k + 1]
     return V.T
+
+
+def factor_checked(A):
+    """linsolve.factor as first written: a finiteness pass, then max|A|,
+    scipy's checked lu_factor and np.linalg.norm(A, 1), each on its own.
+    The package's single pass over |A| must match this bit for bit and
+    raise the same errors."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    amax = float(np.max(np.abs(A))) if A.size else 0.0
+    with warnings.catch_warnings():
+        # scipy warns on exact singularity; the pivot check below reports it
+        warnings.simplefilter("ignore")
+        lu, piv = scipy.linalg.lu_factor(A)
+    pivots = np.abs(np.diag(lu))
+    bad = np.nonzero(pivots < 1e-14 * amax)[0] if amax > 0 else np.arange(A.shape[0])
+    if bad.size:
+        i = int(bad[0])
+        raise SingularMatrixError(
+            f"matrix is singular to working precision: pivot {i} has magnitude "
+            f"{pivots[i] if amax > 0 else 0.0:.3e} (threshold {1e-14 * amax:.3e})"
+        )
+    return lu, piv, amax, float(np.linalg.norm(A, 1))
+
+
+def lu_solve_checked(factors, rhs):
+    """linsolve.lu_solve as first written: scipy's checked lu_solve and
+    max|U| through np.triu."""
+    lu, piv, amax, _ = factors
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape != (lu.shape[0],):
+        raise ValueError(
+            f"rhs length {rhs.shape} does not match matrix order {lu.shape[0]}"
+        )
+    x = scipy.linalg.lu_solve((lu, piv), rhs)
+    umax = float(np.max(np.abs(np.triu(lu))))
+    return x, amax / umax
+
+
+def condition_checked(factors):
+    """linsolve.condition_estimate as first written (LAPACK gecon)."""
+    lu, _, _, anorm = factors
+    rcond, info = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    if info != 0:
+        raise RuntimeError(f"condition estimate failed with LAPACK info {info}")
+    return float("inf") if rcond == 0.0 else 1.0 / float(rcond)
+
+
+def relative_residual(A, x, rhs):
+    """solver.solve's relative residual as first written:
+    ||A x - rhs||_inf / (||A||_inf ||x||_inf) through np.linalg.norm."""
+    res = A @ x - rhs
+    denom = float(np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf))
+    return float(np.linalg.norm(res, np.inf) / denom) if denom > 0 else 0.0
