@@ -144,16 +144,18 @@ class DiscreteSystem:
 
         Entry (j, i) integrates test j against trial i on rules that depend
         only on q, so assembling at degree N with the same q gives this
-        block again.
+        block again.  N is integral (2.0 gives 2) and not a bool.
         """
+        N = as_integer(N, "DiscreteSystem: degree")
         if not 1 <= N < len(self.rhs):
             raise ValueError(
                 f"DiscreteSystem: degree {N} must lie in 1..{len(self.rhs) - 1}"
             )
         n = N + 1
-        return DiscreteSystem(
-            self.matrix[:n, :n], self.rhs[:n], self.k_nodes, self.k_values
-        )
+        # a block of checked entries needs no second __post_init__
+        block = object.__new__(DiscreteSystem)
+        block.__dict__.update(vars(self), matrix=self.matrix[:n, :n], rhs=self.rhs[:n])
+        return block
 
 
 def composite_rule(p, n: int, breaks) -> QuadratureRule:

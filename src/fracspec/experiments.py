@@ -84,10 +84,11 @@ def check_degrees(Ns: Sequence[int], N_ref: int) -> list[int]:
 
 
 def run_convergence(
-    spec_base: ProblemSpec, Ns: Sequence[int], N_ref: int = 40
+    spec_base: ProblemSpec, Ns: Sequence[int], N_ref: int = 40, *, s_f: float = math.inf
 ) -> ConvergenceReport:
     """Solve once at the reference degree N_ref, then at each N, reporting
     errors of the expansion against the reference and the log-ratio rates.
+    The predicted rates cap f's Sobolev index at s_f (inf: analytic f).
 
     Every degree shares the reference's quadrature size q =
     replace(spec_base, N=N_ref).q, so the system is assembled once, at N_ref,
@@ -124,7 +125,7 @@ def run_convergence(
             Np, (e0p, e1p) = Ns[i - 1], errs[i - 1]
             rows.append((N, e0, rate(e0p, e0, Np, N), e1, rate(e1p, e1, Np, N)))
     pred = predicted_rates(
-        spec_base.fp, coeff_is_zero(spec_base.b), math.inf, spec_base.variant
+        spec_base.fp, coeff_is_zero(spec_base.b), s_f, spec_base.variant
     )
     return ConvergenceReport(tuple(rows), pred, spec_base)
 

@@ -6,11 +6,16 @@ coefficient couples every test polynomial to every trial one, so there is
 nothing to gain from sparsity.  Factorization is LU with partial
 pivoting; a pivot smaller than 1e-14 times the largest entry of A is
 treated as singular and reported with its index.  One factor() serves
-both the solve and the condition estimate.
+both the solve and the condition estimate, and each check runs once:
+factor() reads max|A| (non-finite exactly when an entry is, so it is the
+finiteness check), ||A||_1 and ||A||_inf from one |A| and hands getrf
+checked data; lu_solve() checks the rhs, so scipy's lu_solve need not,
+and reads max|U| with LAPACK's lantr.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -27,17 +32,24 @@ def factor(A) -> tuple[np.ndarray, np.ndarray, float, float]:
     Returns (lu, piv, max|A|, ||A||_1), where lu and piv are the packed
     factors and pivot indices of scipy.linalg.lu_factor.
     """
+    return _factor(A)[0]
+
+
+def _factor(A) -> tuple[tuple[np.ndarray, np.ndarray, float, float], float]:
+    """factor(A) and ||A||_inf, for the relative residual, from one |A|."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    absA = np.abs(A)
+    # initial=0 as in np.linalg.norm, so an empty A has max|A| = 0
+    amax = float(absA.max(initial=0.0))
+    if not math.isfinite(amax):
         raise ValueError("matrix entries must be finite")
-    amax = float(np.max(np.abs(A))) if A.size else 0.0
     with warnings.catch_warnings():
         # scipy warns on exact singularity; the pivot check below reports it
         warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(A)
-    pivots = np.abs(np.diag(lu))
+        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
+    pivots = np.abs(lu.diagonal())
     bad = np.nonzero(pivots < 1e-14 * amax)[0] if amax > 0 else np.arange(A.shape[0])
     if bad.size:
         i = int(bad[0])
@@ -45,7 +57,8 @@ def factor(A) -> tuple[np.ndarray, np.ndarray, float, float]:
             f"matrix is singular to working precision: pivot {i} has magnitude "
             f"{pivots[i] if amax > 0 else 0.0:.3e} (threshold {1e-14 * amax:.3e})"
         )
-    return lu, piv, amax, float(np.linalg.norm(A, 1))
+    anorm = float(absA.sum(axis=0).max(initial=0.0))
+    return (lu, piv, amax, anorm), float(absA.sum(axis=1).max(initial=0.0))
 
 
 def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:
@@ -60,9 +73,10 @@ def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"rhs length {rhs.shape} does not match matrix order {lu.shape[0]}"
         )
-    x = scipy.linalg.lu_solve((lu, piv), rhs)
-    umax = float(np.max(np.abs(np.triu(lu))))
-    return x, amax / umax
+    if not math.isfinite(np.abs(rhs).max()):
+        raise ValueError("rhs entries must be finite")
+    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    return x, amax / scipy.linalg.lapack.dlantr("M", lu)
 
 
 def condition_estimate(factors) -> float:

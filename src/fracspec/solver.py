@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import DiscreteSystem, ProblemSpec, assemble_system, k_floor
-from .linsolve import condition_estimate, factor, lu_solve
+from .linsolve import _factor, condition_estimate, lu_solve
 from .spaces import CoeffVec, eval_solution
 
 
@@ -41,14 +41,12 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
             f"solve: system of order {system.rhs.shape[0]} does not match N = {spec.N}"
         )
     k_min, k_at = k_floor(system)
-    factors = factor(system.matrix)
+    factors, a_inf = _factor(system.matrix)
     phi_vec, pivot_growth = lu_solve(factors, system.rhs)
     cond = condition_estimate(factors)
     res = system.matrix @ phi_vec - system.rhs
-    denom = float(
-        np.linalg.norm(system.matrix, np.inf) * np.linalg.norm(phi_vec, np.inf)
-    )
-    residual = float(np.linalg.norm(res, np.inf) / denom) if denom > 0 else 0.0
+    denom = float(a_inf * np.abs(phi_vec).max())
+    residual = float(np.abs(res).max() / denom) if denom > 0 else 0.0
     return Solution(
         spec=spec,
         phi=CoeffVec(spec.fp.trial, phi_vec),

@@ -115,4 +115,5 @@ def error_norms(
     diff = np.zeros(max(phi_ref.coeffs.size, phi_N.coeffs.size))
     diff[: phi_ref.coeffs.size] += phi_ref.coeffs
     diff[: phi_N.coeffs.size] -= phi_N.coeffs
-    return [sobolev_norm(CoeffVec(phi_ref.params, diff), mu) for mu in mu_list]
+    diff = CoeffVec(phi_ref.params, diff)
+    return [sobolev_norm(diff, mu) for mu in mu_list]

@@ -374,6 +374,26 @@ def test_lower_degree_is_the_leading_block(variant):
             ref.leading(N)
 
 
+def _hand_system(n=4):
+    return DiscreteSystem(np.eye(n) + 0.5, np.arange(1.0, n + 1.0))
+
+
+def test_leading_refuses_a_bool_degree():
+    # True == 1 would give the 2x2 block without a word
+    with pytest.raises(ValueError, match="DiscreteSystem: degree must be an integer, got True"):
+        _hand_system().leading(True)
+
+
+def test_leading_takes_an_integral_float_degree():
+    # as ProblemSpec takes N = 8.0: 2.0 is degree 2, 2.5 is no degree
+    system = _hand_system()
+    block = system.leading(2.0)
+    assert np.array_equal(block.matrix, system.matrix[:3, :3])
+    assert np.array_equal(block.rhs, system.rhs[:3])
+    with pytest.raises(ValueError, match="DiscreteSystem: degree must be an integer, got 2.5"):
+        system.leading(2.5)
+
+
 def test_shared_blocks_sum_like_a_fresh_assembly():
     # a compare reuses B1, B2 and rhs across diffusivities and variants; the
     # sum must round exactly as assemble_system's own

@@ -229,6 +229,22 @@ def test_case_a_rates_land_in_band():
     assert all(1.8 < r < 2.3 for r in rates)
 
 
+@pytest.mark.parametrize(
+    "f, s_f",
+    [("abs(x-0.5)", 1.5), ("sqrt(abs(x-0.5))", 1.0), ("piecewise(0.5; 0; 1)", 0.5)],
+    ids=["kink", "sqrt-cusp", "jump"],
+)
+def test_rough_data_rate_follows_s_f(f, s_f):
+    # the data-regularity branch of the rate theory: with b = 0 the
+    # structural terms allow s~ = 2.8 here, so f's Sobolev index s_f binds
+    # and the L2 rate is s_f + alpha; each kink or jump sits on a breakpoint
+    spec = ProblemSpec(fp=solve_beta(1.5, 0.3), variant="acute", k=parse("1+2*x"),
+                       b=parse("0"), c=parse("5+sin(x)"), f=parse(f), N=128)
+    rep = run_convergence(spec, [128, 256], N_ref=1024, s_f=s_f)
+    assert rep.predicted[0] == s_f + 1.5
+    assert abs(rep.rows[1][2] - rep.predicted[0]) < 0.1
+
+
 # err_L2 columns of the two paper cases (acute, Ns 8..16, N_ref 40), frozen
 # at f76dcb5 (the same values as perfbench/reference.json); the acceptance
 # criteria compare only their rates with the benchmark columns, so the

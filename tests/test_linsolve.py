@@ -62,6 +62,9 @@ def test_shape_and_finiteness_validation():
         lu_solve(factor(np.array([[1.0, np.nan], [0.0, 1.0]])), np.ones(2))
     with pytest.raises(ValueError, match="rhs"):
         lu_solve(factor(np.eye(3)), np.ones(4))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^rhs entries must be finite$"):
+            lu_solve(factor(np.eye(3)), np.array([1.0, bad, 0.0]))
 
 
 def test_condition_estimate_diagonal_exact():
