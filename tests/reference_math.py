@@ -4,9 +4,9 @@ The package itself never calls these: they are the independent side of a
 comparison (classical Jacobi values, norms and derivatives, the Gamma and
 beta functions, the test weight omega*, the inverse map beta -> r, the
 sigma_k sequence, the one-at-a-time Jacobi matrix, rule and table
-loops, and the solve path's checked LU, triangular solve, condition
-estimate and relative residual as first written), so they live next to
-the tests.
+loops, the sorted composite rule, and the solve path's checked LU,
+triangular solve, condition estimate and relative residual as first
+written), so they live next to the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
 from fracspec.fracparams import FracParams, _denominator
-from fracspec.jacobi import JacobiParams, _mu0, as_params, log_gamma
+from fracspec.jacobi import JacobiParams, _mu0, as_params, gauss_jacobi, log_gamma
 from fracspec.linsolve import SingularMatrixError
 
 
@@ -256,6 +256,44 @@ def Ghat_table_loop(p, N: int, x) -> np.ndarray:
     for k in range(1, N):
         V[k + 1] = ((x - d[k]) * V[k] - e[k] * V[k - 1]) / e[k + 1]
     return V.T
+
+
+def composite_rule_sorted(p, n: int, breaks):
+    """(nodes, weights) of assembly.composite_rule as first written: the
+    pieces concatenated, then sorted by node with np.argsort.  The package
+    must match this bit for bit."""
+    p = as_params(p)
+    breaks = [float(b) for b in breaks]
+    if not all(0.0 < b < 1.0 for b in breaks):
+        raise ValueError(f"composite_rule: breaks must lie inside (0,1), got {breaks}")
+    breaks = sorted(set(breaks))
+    if not breaks:
+        rule = gauss_jacobi(p, n)
+        return rule.nodes, rule.weights
+    a, b = p.a, p.b
+    edges = [0.0] + breaks + [1.0]
+    left_rule = gauss_jacobi(JacobiParams(0.0, b), n)
+    right_rule = gauss_jacobi(JacobiParams(a, 0.0), n)
+    mid_rule = gauss_jacobi(JacobiParams(0.0, 0.0), n)
+    nodes = []
+    weights = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        h = hi - lo
+        if lo == 0.0:
+            x = h * left_rule.nodes
+            w = h ** (b + 1.0) * left_rule.weights * (1.0 - x) ** a
+        elif hi == 1.0:
+            x = 1.0 - h * (1.0 - right_rule.nodes)
+            w = h ** (a + 1.0) * right_rule.weights * x ** b
+        else:
+            x = lo + h * mid_rule.nodes
+            w = h * mid_rule.weights * (1.0 - x) ** a * x ** b
+        nodes.append(x)
+        weights.append(w)
+    nodes = np.concatenate(nodes)
+    weights = np.concatenate(weights)
+    order = np.argsort(nodes)
+    return nodes[order], weights[order]
 
 
 def factor_checked(A):
