@@ -196,10 +196,8 @@ def composite_rule(p, n: int, breaks) -> QuadratureRule:
             w = h * mid_rule.weights * (1.0 - x) ** a * x ** b
         nodes.append(x)
         weights.append(w)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    order = np.argsort(nodes)
-    return QuadratureRule(p, nodes[order], weights[order])
+    # each piece is ascending and the pieces follow the sorted breaks
+    return QuadratureRule(p, np.concatenate(nodes), np.concatenate(weights))
 
 
 def _rule_for(spec: ProblemSpec, block: str) -> tuple[QuadratureRule, np.ndarray]:

@@ -8,9 +8,9 @@ pivoting; a pivot smaller than 1e-14 times the largest entry of A is
 treated as singular and reported with its index.  One factor() serves
 both the solve and the condition estimate, and each check runs once:
 factor() reads max|A| (non-finite exactly when an entry is, so it is the
-finiteness check), ||A||_1 and ||A||_inf from one |A| and hands getrf
-checked data; lu_solve() checks the rhs, so scipy's lu_solve need not,
-and reads max|U| with LAPACK's lantr.
+finiteness check) and ||A||_1 from one |A| and hands getrf checked data;
+lu_solve() checks the rhs, so scipy's lu_solve need not, and reads max|U|
+with LAPACK's lantr.  solver.solve calls factor() and takes ||A||_inf.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def factor(A) -> tuple[np.ndarray, np.ndarray, float, float]:
     Returns (lu, piv, max|A|, ||A||_1), where lu and piv are the packed
     factors and pivot indices of scipy.linalg.lu_factor.
     """
-    return _factor(A)[0]
-
-
-def _factor(A) -> tuple[tuple[np.ndarray, np.ndarray, float, float], float]:
-    """factor(A) and ||A||_inf, for the relative residual, from one |A|."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
@@ -57,8 +52,7 @@ def _factor(A) -> tuple[tuple[np.ndarray, np.ndarray, float, float], float]:
             f"matrix is singular to working precision: pivot {i} has magnitude "
             f"{pivots[i] if amax > 0 else 0.0:.3e} (threshold {1e-14 * amax:.3e})"
         )
-    anorm = float(absA.sum(axis=0).max(initial=0.0))
-    return (lu, piv, amax, anorm), float(absA.sum(axis=1).max(initial=0.0))
+    return lu, piv, amax, float(absA.sum(axis=0).max(initial=0.0))
 
 
 def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:

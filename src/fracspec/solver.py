@@ -8,7 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import DiscreteSystem, ProblemSpec, assemble_system, k_floor
-from .linsolve import _factor, condition_estimate, lu_solve
+from .linsolve import condition_estimate, factor, lu_solve
 from .spaces import CoeffVec, eval_solution
 
 
@@ -41,11 +41,11 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
             f"solve: system of order {system.rhs.shape[0]} does not match N = {spec.N}"
         )
     k_min, k_at = k_floor(system)
-    factors, a_inf = _factor(system.matrix)
+    factors = factor(system.matrix)
     phi_vec, pivot_growth = lu_solve(factors, system.rhs)
     cond = condition_estimate(factors)
     res = system.matrix @ phi_vec - system.rhs
-    denom = float(a_inf * np.abs(phi_vec).max())
+    denom = float(np.abs(system.matrix).sum(axis=1).max() * np.abs(phi_vec).max())
     residual = float(np.abs(res).max() / denom) if denom > 0 else 0.0
     return Solution(
         spec=spec,
