@@ -93,10 +93,13 @@ def run_convergence(
     Every degree shares the reference's quadrature size q =
     replace(spec_base, N=N_ref).q, so the system is assembled once, at N_ref,
     and degree N solves its leading (N+1)x(N+1) block.  Ns failing
-    check_degrees, or a quad_points below N_ref + 20, is a ValueError raised
-    before any assembly.  spec_base.N is not used.
+    check_degrees, a quad_points below N_ref + 20, or a NaN s_f is a
+    ValueError raised before any assembly.  spec_base.N is not used.
     """
     Ns = check_degrees(Ns, N_ref)
+    pred = predicted_rates(
+        spec_base.fp, coeff_is_zero(spec_base.b), s_f, spec_base.variant
+    )
     spec_ref = replace(spec_base, N=N_ref)
     q = spec_ref.q
     try:
@@ -124,9 +127,6 @@ def run_convergence(
         else:
             Np, (e0p, e1p) = Ns[i - 1], errs[i - 1]
             rows.append((N, e0, rate(e0p, e0, Np, N), e1, rate(e1p, e1, Np, N)))
-    pred = predicted_rates(
-        spec_base.fp, coeff_is_zero(spec_base.b), s_f, spec_base.variant
-    )
     return ConvergenceReport(tuple(rows), pred, spec_base)
 
 

@@ -130,6 +130,8 @@ def predicted_rates(
     diffusivity and does not see k at all, so for a k with a jump these
     numbers are not a prediction.
     """
+    if math.isnan(s_f):
+        raise ValueError(f"predicted_rates: s_f must not be NaN, got {s_f}")
     a, b = fp.alpha, fp.beta
     shift = 1.0 if b_is_zero else -1.0
     s_tilde = min(s_f, a + (a - b) + shift, a + b + shift)

@@ -63,7 +63,8 @@ def project(f, p, N: int, quad_points: int) -> CoeffVec:
 
 def sobolev_norm(v: CoeffVec, s: float) -> float:
     """sqrt(sum_j (1+j^2)^s v_j^2); s=0 is the weighted L2 norm (Parseval)."""
-    if s < 0:
+    # written so that NaN fails too
+    if not s >= 0:
         raise ValueError(f"sobolev_norm: order must be nonnegative, got {s}")
     j = np.arange(v.coeffs.size)
     return float(np.sqrt(np.sum((1.0 + j * j) ** s * v.coeffs ** 2)))

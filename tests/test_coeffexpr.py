@@ -181,6 +181,9 @@ def test_eval_domain_errors():
         parse("1 + log(-x)").eval(0.5)
     # the message names the failing subexpression, not the whole input
     assert "log" in str(err.value)
+    # a non-finite input is no domain error, but its value is still refused
+    with pytest.raises(EvalError, match=r"non-finite value from 'x\+1.0'"):
+        parse("x+1")(np.array([np.nan]))
 
 
 def test_sample_raises_eval_error_without_pointwise_retry():
@@ -215,6 +218,7 @@ def test_abs_of_affine_argument_reports_its_kink():
     assert breaks_of(parse("1+abs(x-0.37)")) == [0.37]
     assert breaks_of(parse("abs((0.5-x)/2)*3")) == [0.5]
     assert breaks_of(parse("abs(-2*x+0.5)")) == [0.25]
+    assert breaks_of(parse("abs(x*2-1)")) == breaks_of(parse("abs(2*x-1)")) == [0.5]
     # the kink of a non-affine argument cannot be located structurally
     assert breaks_of(parse("abs(x^2-0.2)")) == []
     assert breaks_of(parse("abs(x*x-0.2)")) == []

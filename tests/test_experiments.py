@@ -1,5 +1,6 @@
 """Convergence tables, rate arithmetic, and the model-comparison runs."""
 
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from fracspec.experiments import (
 )
 from fracspec.fracparams import solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table
+from fracspec.linsolve import SingularMatrixError
 from fracspec.solver import solve
 
 
@@ -146,6 +148,16 @@ def test_run_convergence_checks_degrees_before_assembling(monkeypatch):
     assert counts == {}
 
 
+@pytest.mark.parametrize("variant", ["acute", "grave"])
+def test_run_convergence_rejects_nan_s_f_before_assembling(monkeypatch, variant):
+    # a NaN s_f used to run the whole sweep and then report NaN predictions
+    counts = Counter()
+    _count_calls(monkeypatch, fracspec.experiments, ["assemble_system"], counts)
+    with pytest.raises(ValueError, match="s_f must not be NaN"):
+        run_convergence(replace(_case_a(), variant=variant), [8, 10], 12, s_f=math.nan)
+    assert counts == {}
+
+
 def test_run_convergence_quad_points_below_n_ref_raises():
     # every degree shares the reference's q, which must reach N_ref + 20
     with pytest.raises(ValueError, match="quad_points"):
@@ -198,6 +210,28 @@ def test_run_convergence_names_failing_degree():
     # the reference solve runs first, so the failure is reported there
     with pytest.raises(RuntimeError, match="N=12"):
         run_convergence(bad, [6, 8], N_ref=12)
+
+
+def test_run_convergence_names_failing_leading_degree(monkeypatch):
+    # no real input makes a leading block fail after the whole system
+    # solved, so the degree-10 solve is made to fail through the binding
+    # run_convergence calls
+    def failing(spec, system=None):
+        if spec.N == 10:
+            raise SingularMatrixError("pivot 3 is zero")
+        return solve(spec, system)
+
+    monkeypatch.setattr(fracspec.experiments, "solve", failing)
+    with pytest.raises(RuntimeError, match="failed at N=10: pivot 3 is zero") as err:
+        run_convergence(_case_a(), [8, 10, 12], N_ref=16)
+    assert isinstance(err.value.__cause__, SingularMatrixError)
+
+
+def test_run_convergence_zero_error_has_no_rate():
+    # f = 0 solves to phi = 0 at every degree, so every error is exactly 0
+    # and no log ratio exists
+    rep = run_convergence(replace(_case_a(), f=_zero), [6, 8, 10], N_ref=14)
+    assert [row[1:] for row in rep.rows] == [(0.0, None, 0.0, None)] * 3
 
 
 def _count_calls(monkeypatch, module, names, counts):

@@ -113,6 +113,8 @@ def test_mu_values_and_growth():
         assert mu(fp, k + 1) / mu(fp, k) == pytest.approx(
             (k + fp.alpha) / (k + 1.0), rel=1e-13
         )
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        mu(fp, -1)
 
 
 def test_sigma_values_and_link_to_mu():
@@ -155,6 +157,14 @@ def test_predicted_rates_finite_data_regularity():
     l2, en = predicted_rates(fp, False, 0.4, "acute")
     assert l2 == pytest.approx(0.4 + 1.3, abs=1e-12)
     assert en == pytest.approx(0.4 + 0.3, abs=1e-12)
+
+
+@pytest.mark.parametrize("variant", ["acute", "grave"])
+@pytest.mark.parametrize("b_is_zero", [True, False])
+def test_predicted_rates_rejects_nan_s_f(variant, b_is_zero):
+    # min() with a NaN s_f first gave (nan, nan)
+    with pytest.raises(ValueError, match="s_f must not be NaN"):
+        predicted_rates(solve_beta(1.3, 0.5), b_is_zero, math.nan, variant)
 
 
 @settings(max_examples=80, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracspec.assembly import ProblemSpec, assemble_system
+from fracspec.assembly import DiscreteSystem, ProblemSpec, assemble_system
 from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import solve_beta
 from fracspec.experiments import run_comparison, run_convergence
@@ -147,6 +147,9 @@ def test_solve_of_a_given_system():
     assert given.diagnostics == fresh.diagnostics
     with pytest.raises(ValueError, match="does not match"):
         solve(spec, system.leading(10))
+    # a system built by hand carries no diffusivity samples to report k_min from
+    with pytest.raises(ValueError, match="carries no diffusivity samples"):
+        solve(spec, DiscreteSystem(system.matrix, system.rhs))
 
 
 def test_memoised_rules_solve_as_fresh_ones():

@@ -77,6 +77,9 @@ def test_project_polynomial_exactness():
     v1 = project(poly, p, 6, 7)
     v2 = project(poly, p, 6, 40)
     assert np.max(np.abs(v1.coeffs - v2.coeffs)) < 1e-12
+    # N+1 points are the fewest that can be exact
+    with pytest.raises(ValueError, match=r"need quad_points >= N\+1, got 6 for N=6"):
+        project(poly, p, 6, 6)
 
 
 def test_project_decreasing_defect_for_smooth_function():
@@ -109,6 +112,14 @@ def test_sobolev_norm_examples():
     assert sobolev_norm(v, 2.0) == pytest.approx(math.sqrt(5.0))
     with pytest.raises(ValueError):
         sobolev_norm(v, -1.0)
+
+
+@pytest.mark.parametrize("s", [math.nan, -math.inf, -1e-300])
+def test_sobolev_norm_rejects_bad_order(s):
+    # NaN used to give a NaN norm, because s < 0 is false for it
+    v = CoeffVec(JacobiParams(0.0, 0.0), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        sobolev_norm(v, s)
 
 
 def test_sobolev_norm_monotone_in_order():
@@ -210,6 +221,13 @@ def test_error_norms_zero_and_single_mode():
     e0, e1 = error_norms(a, b, [0.0, 1.0])
     assert e0 == pytest.approx(1.0)
     assert e1 == pytest.approx(math.sqrt(26.0))
+
+
+@pytest.mark.parametrize("orders", [[math.nan], [0.0, math.nan], [np.float64("nan"), 1.0]])
+def test_error_norms_rejects_nan_order(orders):
+    p = (0.75, 0.75)
+    with pytest.raises(ValueError, match="order must be nonnegative, got nan"):
+        error_norms(_unit(p, 6, 1), _unit(p, 6, 2), orders)
 
 
 def test_error_norms_pads_shorter_vector():
