@@ -15,13 +15,17 @@ rejects, read or not.  Each command parses every expression set
 and builds its ProblemSpec (_build_spec: FracParams checks alpha and r,
 ProblemSpec N and quad_points, at N_ref for converge) before any output.
 CSV output is deterministic: 17 significant digits, comma separator, LF line
-endings.  Every run echoes its fully resolved config into the output
+endings; a command's CSV files share one row array, with the x column
+formatted once.  Every run echoes its fully resolved config into the output
 directory as config.json: every setting given or defaulted, and spec.q.
+The argument parser is built on the first call to main and kept for the
+process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -37,7 +41,7 @@ from .experiments import check_degrees, coeff_is_zero, run_comparison, run_conve
 from .fracparams import predicted_rates, solve_beta
 from .jacobi import QuadratureError
 from .linsolve import SingularMatrixError
-from .numfmt import WIDTH, g17_cells, write_g17
+from .numfmt import WIDTH, write_g17
 from .solver import solve
 
 
@@ -193,22 +197,25 @@ def _write_text(path: str, text: str):
         fh.write(text)
 
 
-def _write_csv(path: str, header: str, x_cells: np.ndarray, columns):
-    """The header, then one line per grid point: its x cell from g17_cells,
-    so files on one grid share one formatting of it, then the point's value
-    in each of the equal-length columns, formatted as %.17g does.  Each
-    column is formatted in place into one array of rows, each cell followed
-    by its separator, and the rows are written with their NUL padding
-    deleted."""
-    rows = np.empty((len(x_cells), len(columns) + 1, WIDTH + 1), dtype=np.uint8)
-    rows[:, 0, :WIDTH] = x_cells
-    for j, col in enumerate(columns, 1):
-        write_g17(col, rows[:, j, :WIDTH])
+def _write_csvs(header: str, x: np.ndarray, files):
+    """Each (path, columns) of files as a CSV: the header, then one line per
+    grid point of x, its value in each of the columns, formatted as %.17g
+    does.  Every file has the header's number of columns, and the files
+    share one array of rows, each cell followed by its separator: x is
+    formatted into its first column and the separators set once, each
+    file's columns are formatted over the previous file's, and the rows are
+    written with their NUL padding deleted."""
+    rows = np.empty((len(x), header.count(",") + 1, WIDTH + 1), dtype=np.uint8)
+    write_g17(x, rows[:, 0, :WIDTH])
     rows[:, :, WIDTH] = ord(",")
     rows[:, -1, WIDTH] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write(f"{header}\n".encode("ascii"))
-        fh.write(rows.tobytes().translate(None, b"\0"))
+    head = f"{header}\n".encode("ascii")
+    for path, columns in files:
+        for j, col in enumerate(columns, 1):
+            write_g17(col, rows[:, j, :WIDTH])
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def _echo_config(cfg: RunConfig, command: str, q: int):
@@ -266,9 +273,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     rhs0 = float(system.rhs[0])
     pred = predicted_rates(fp, coeff_is_zero(exprs["b"]), math.inf, cfg.variant)
     xs = np.linspace(0.0, 1.0, cfg.grid_points)
-    _write_csv(
-        os.path.join(cfg.output, "solution.csv"), "x,u", g17_cells(xs), [sol.u(xs)]
-    )
+    _write_csvs("x,u", xs, [(os.path.join(cfg.output, "solution.csv"), [sol.u(xs)])])
 
     d = sol.diagnostics
     summary = "\n".join(
@@ -319,23 +324,20 @@ def cmd_compare(cfg: RunConfig) -> int:
     _echo_config(cfg, "compare", spec.q)
 
     reports = run_comparison(spec, ks, cfg.grid_points)
-    # every report samples the same grid
-    x_cells = g17_cells(reports[0].x)
+    files = []
     for label, rep in zip(labels, reports):
         name = "compare.csv" if label == "k" else f"compare_{label}.csv"
-        _write_csv(
-            os.path.join(cfg.output, name),
-            "x,u_acute,u_grave",
-            x_cells,
-            [rep.u_acute, rep.u_grave],
-        )
+        files.append((os.path.join(cfg.output, name), [rep.u_acute, rep.u_grave]))
+    # every report samples the same grid
+    _write_csvs("x,u_acute,u_grave", reports[0].x, files)
     return 0
 
 
 _COMMANDS = {"solve": cmd_solve, "converge": cmd_converge, "compare": cmd_compare}
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fracspec",
         description="Spectral solver for two-sided fractional diffusion problems",
@@ -349,7 +351,11 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", required=True, help="path to JSON config")
         sp.add_argument("--out", default=None, help="output directory override")
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.out, args.command)

@@ -214,12 +214,3 @@ def write_g17(values, cells) -> None:
         text = ("%.17g" % v[i]).encode("ascii")
         cells[i] = 0
         cells[i, : len(text)] = np.frombuffer(text, dtype=np.uint8)
-
-
-def g17_cells(values) -> np.ndarray:
-    """(n, WIDTH) uint8 array whose row i, with its NUL bytes deleted, is
-    the ASCII of "%.17g" % values[i]."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    cells = np.empty((v.size, WIDTH), dtype=np.uint8)
-    write_g17(v, cells)
-    return cells

@@ -292,7 +292,9 @@ def composite_rule_sorted(p, n: int, breaks):
         weights.append(w)
     nodes = np.concatenate(nodes)
     weights = np.concatenate(weights)
-    order = np.argsort(nodes)
+    # stable, so tied nodes keep their piece order on every CPU: numpy's
+    # default sort orders ties by its SIMD path
+    order = np.argsort(nodes, kind="stable")
     return nodes[order], weights[order]
 
 

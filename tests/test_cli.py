@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fracspec.cli
-from fracspec.cli import _write_csv, main
-from fracspec.numfmt import g17_cells
+from fracspec.cli import _write_csvs, main
+from fracspec.numfmt import WIDTH, write_g17
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -275,6 +276,33 @@ def test_compare_pair_bytes_frozen_fresh_interpreter(tmp_path):
         assert hashlib.sha256(raw).hexdigest() == digest, name
 
 
+def _assert_pair_bytes(out):
+    for name, digest in PAIR_SHA256.items():
+        assert hashlib.sha256(_read(out / name)).hexdigest() == digest, name
+    assert json.loads((out / "config.json").read_text())["output"] == str(out)
+
+
+def test_shared_parser_keeps_nothing_between_calls(tmp_path, capsys):
+    # main builds its parser once per process: a failed parse and an --out
+    # must not reach a later call
+    cfg = _pair_config(tmp_path)
+    out, other = tmp_path / "out", tmp_path / "other"
+    assert main(["compare", "--config", cfg]) == 0
+    _assert_pair_bytes(out)
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["compare"])
+        assert exc.value.code == 2
+        assert "--config" in capsys.readouterr().err
+    assert main(["compare", "--config", cfg, "--out", str(other)]) == 0
+    _assert_pair_bytes(other)
+    shutil.rmtree(out)
+    shutil.rmtree(other)
+    assert main(["compare", "--config", cfg]) == 0
+    _assert_pair_bytes(out)
+    assert not other.exists()
+
+
 def test_compare_echoes_default_degree(tmp_path):
     # a compare without N runs at N = 40 and q = N + 20, and says so
     cfg = _base(tmp_path, variant=None, grid_points=11)
@@ -370,14 +398,32 @@ def test_write_csv_matches_per_value_format(tmp_path, n):
         x = np.linspace(0.0, 1.0, n)
     columns = [x, -x[::-1], x * np.pi]
     path = tmp_path / "out.csv"
-    _write_csv(str(path), "x,a,b", g17_cells(x), columns[1:])
+    _write_csvs("x,a,b", x, [(str(path), columns[1:])])
     got = _read(path).decode().split("\n")
     assert got == _per_value_csv("x,a,b", columns).split("\n")
 
 
+@pytest.mark.parametrize("long_first", [True, False])
+def test_write_csvs_shared_rows_keep_nothing_of_the_last_file(tmp_path, long_first):
+    # the files share one row array: a short cell written over a long one
+    # must not keep the long one's tail, nor a long one the short's NULs
+    x = np.array([0.0, 0.25, 0.5, 1.0])
+    long_cells = np.array([-1.2345678901234567e-100, -np.inf, np.nan, 5e-324])
+    short_cells = np.array([0.0, 0.5, 1.0, 0.5])
+    files = {"long.csv": [long_cells, long_cells[::-1]],
+             "short.csv": [short_cells, short_cells[::-1]]}
+    names = sorted(files, reverse=not long_first)
+    _write_csvs("x,a,b", x, [(str(tmp_path / name), files[name]) for name in names])
+    for name in names:
+        got = _read(tmp_path / name).decode()
+        assert got == _per_value_csv("x,a,b", [x] + files[name]), name
+
+
 def _cell_texts(values):
-    return [row.tobytes().replace(b"\0", b"").decode("ascii")
-            for row in g17_cells(values)]
+    """write_g17's text of each value: its row with the NUL bytes deleted."""
+    cells = np.empty((len(values), WIDTH), dtype=np.uint8)
+    write_g17(values, cells)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in cells]
 
 
 def _assert_cells_match(values):
@@ -491,7 +537,7 @@ def test_write_csv_long_mixed_columns(tmp_path):
     x = _mixed_column()
     columns = [x, -x[::-1], x * np.pi]
     path = tmp_path / "out.csv"
-    _write_csv(str(path), "x,a,b", g17_cells(x), columns[1:])
+    _write_csvs("x,a,b", x, [(str(path), columns[1:])])
     got = _read(path).decode().split("\n")
     assert got == _per_value_csv("x,a,b", columns).split("\n")
 

@@ -1,7 +1,8 @@
 """assembly.composite_rule against its first form in reference_math: bit
 for bit.
 
-composite_rule_sorted concatenates the pieces and then sorts them by node.
+composite_rule_sorted concatenates the pieces and then sorts them by node
+with a stable sort, so tied nodes keep their piece order on every CPU.
 The package must give the same nodes and weights, in the same order, on a
 seeded sweep of 1-4 breaks (some within 1e-15 of each other or of an end,
 some repeated or out of order), 1 to 120 points per piece and weight
