@@ -133,7 +133,7 @@ class DiscreteSystem:
             raise ValueError(
                 f"DiscreteSystem: shape mismatch, matrix {A.shape}, rhs {r.shape}"
             )
-        if not (np.all(np.isfinite(A)) and np.all(np.isfinite(r))):
+        if not (np.isfinite(A).all() and np.isfinite(r).all()):
             raise ValueError("DiscreteSystem: entries must be finite")
         object.__setattr__(self, "matrix", A)
         object.__setattr__(self, "rhs", r)
@@ -266,7 +266,7 @@ def assemble_B0(
     core = (G * (rule.weights * kv)[:, None]).T @ G
     nr = _norm_ratios(fp, N)
     idx = np.arange(N + 1)
-    mus = np.array([mu(fp, int(j)) for j in idx])
+    mus = mu(fp, idx)
     if spec.variant == "acute":
         col = (idx + 1.0) * nr
         row = -mus * nr
@@ -328,6 +328,6 @@ def assemble_system(
     # summed as (B0 + B1) + B2 whether or not the blocks are shared, so a
     # shared solve rounds exactly as a fresh one
     A = B0 + B1 + B2
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(rhs))):
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise AssemblyError("assembled system has non-finite entries (overflow)")
     return DiscreteSystem(A, rhs, k_sampled[0].nodes, k_sampled[1])

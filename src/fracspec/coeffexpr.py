@@ -87,7 +87,7 @@ def _checked(node: Expr, fn, *args) -> np.ndarray:
             v = fn(*args)
     except FloatingPointError as exc:
         raise EvalError(f"domain error evaluating '{node.pretty()}': {exc}") from None
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise EvalError(f"non-finite value from '{node.pretty()}'")
     return v
 

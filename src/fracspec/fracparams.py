@@ -19,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .jacobi import JacobiParams, log_gamma
+import numpy as np
+
+from .jacobi import JacobiParams, _size, log_gamma
 
 
 @dataclass(frozen=True)
@@ -107,11 +109,26 @@ def solve_beta(alpha: float, r: float) -> FracParams:
     return FracParams(alpha, r, beta, _c_star_star(alpha, beta))
 
 
-def mu(fp: FracParams, k: int) -> float:
-    """mu_k = c** Gamma(k+alpha)/Gamma(k+1); negative, |mu_k| ~ (k+1)^(alpha-1)."""
-    if k < 0:
-        raise ValueError(f"mu: index must be nonnegative, got {k}")
-    return fp.c_star_star * math.exp(log_gamma(k + fp.alpha) - log_gamma(k + 1.0))
+def mu(fp: FracParams, k):
+    """mu_k = c** Gamma(k+alpha)/Gamma(k+1); negative, |mu_k| ~ (k+1)^(alpha-1).
+
+    k is one index, giving a float, or an integer array of indices, giving
+    a float array of its shape whose entries are the scalar values bit for
+    bit.  An index that is not an integer (a bool, 2.5, a float array) is
+    a TypeError; a negative one is a ValueError.
+    """
+    scalar = not (isinstance(k, np.ndarray) and k.ndim)
+    if scalar:
+        ks = [_size(k)]
+    elif k.dtype.kind in "iu":
+        ks = k.ravel().tolist()
+    else:
+        raise TypeError(f"mu: indices must be integers, got dtype {k.dtype}")
+    if ks and min(ks) < 0:
+        raise ValueError(f"mu: index must be nonnegative, got {min(ks)}")
+    c, a = fp.c_star_star, fp.alpha
+    vals = [c * math.exp(log_gamma(j + a) - log_gamma(j + 1.0)) for j in ks]
+    return vals[0] if scalar else np.array(vals).reshape(k.shape)
 
 
 def predicted_rates(

@@ -9,8 +9,11 @@ treated as singular and reported with its index.  One factor() serves
 both the solve and the condition estimate, and each check runs once:
 factor() reads max|A| (non-finite exactly when an entry is, so it is the
 finiteness check) and ||A||_1 from one |A| and hands getrf checked data;
-lu_solve() checks the rhs, so scipy's lu_solve need not, and reads max|U|
-with LAPACK's lantr.  solver.solve calls factor() and takes ||A||_inf.
+lu_solve() checks the rhs and calls LAPACK's getrs itself, the one call
+that scipy.linalg.lu_solve makes after its batch and dtype dispatch, so
+the solution has the same bits without that wrapper's cost; it reads
+max|U| with LAPACK's lantr.  solver.solve calls factor() and takes
+||A||_inf.
 """
 
 from __future__ import annotations
@@ -69,7 +72,9 @@ def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:
         )
     if not math.isfinite(np.abs(rhs).max()):
         raise ValueError("rhs entries must be finite")
-    x = scipy.linalg.lu_solve((lu, piv), rhs, check_finite=False)
+    x, info = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
+    if info != 0:
+        raise RuntimeError(f"triangular solve failed with LAPACK info {info}")
     return x, amax / scipy.linalg.lapack.dlantr("M", lu)
 
 

@@ -28,7 +28,7 @@ class CoeffVec:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("CoeffVec: coefficients must form a nonempty vector")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("CoeffVec: coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
@@ -63,11 +63,19 @@ def project(f, p, N: int, quad_points: int) -> CoeffVec:
 
 def sobolev_norm(v: CoeffVec, s: float) -> float:
     """sqrt(sum_j (1+j^2)^s v_j^2); s=0 is the weighted L2 norm (Parseval)."""
+    return _sobolev_norms(v.coeffs, [s])[0]
+
+
+def _sobolev_norms(c: np.ndarray, orders: Sequence[float]) -> list[float]:
+    """sobolev_norm of the coefficients c at each order, with the weights
+    1+j^2 and c^2 formed once for all of them."""
     # written so that NaN fails too
-    if not s >= 0:
-        raise ValueError(f"sobolev_norm: order must be nonnegative, got {s}")
-    j = np.arange(v.coeffs.size)
-    return float(np.sqrt(np.sum((1.0 + j * j) ** s * v.coeffs ** 2)))
+    bad = [s for s in orders if not s >= 0]
+    if bad:
+        raise ValueError(f"sobolev_norm: order must be nonnegative, got {bad[0]}")
+    j = np.arange(c.size)
+    w, c2 = 1.0 + j * j, c ** 2
+    return [float(np.sqrt(np.sum(w ** s * c2))) for s in orders]
 
 
 def eval_solution(phis: Sequence[CoeffVec], x) -> list:
@@ -116,5 +124,4 @@ def error_norms(
     diff = np.zeros(max(phi_ref.coeffs.size, phi_N.coeffs.size))
     diff[: phi_ref.coeffs.size] += phi_ref.coeffs
     diff[: phi_N.coeffs.size] -= phi_N.coeffs
-    diff = CoeffVec(phi_ref.params, diff)
-    return [sobolev_norm(diff, mu) for mu in mu_list]
+    return _sobolev_norms(CoeffVec(phi_ref.params, diff).coeffs, mu_list)

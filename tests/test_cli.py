@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -43,6 +44,34 @@ def _base(tmp_path, **kw):
 def _read(path):
     with open(path, "rb") as fh:
         return fh.read()
+
+
+def _openblas_cores() -> str:
+    """The cores that numpy's and scipy's bundled OpenBLAS libraries picked
+    their kernels for, "unknown" where a library or its query is absent.
+    The frozen digests pin bits that hold for one core (SkylakeX), so a
+    digest test that fails names the core it ran under."""
+    import ctypes
+
+    import scipy
+
+    cores = []
+    for pkg, pattern, symbol in (
+        (np, "numpy.libs/libscipy_openblas64_*.so", "scipy_openblas_get_corename64_"),
+        (scipy, "scipy.libs/libscipy_openblas-*.so", "scipy_openblas_get_corename"),
+    ):
+        libs = sorted(Path(pkg.__file__).parent.parent.glob(pattern))
+        get = getattr(ctypes.CDLL(str(libs[0])), symbol, None) if libs else None
+        core = "unknown"
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            core = get().decode()
+        cores.append(f"{pkg.__name__} {core}")
+    return "OpenBLAS core: " + ", ".join(cores)
+
+
+def test_openblas_cores_are_named():
+    assert re.fullmatch(r"OpenBLAS core: numpy \S+, scipy \S+", _openblas_cores())
 
 
 # -------------------------------------------------------------------- solve
@@ -126,7 +155,7 @@ def test_solve_solution_bytes_frozen(tmp_path):
     cfg = _base(tmp_path, N=8, grid_points=21)
     assert main(["solve", "--config", cfg]) == 0
     raw = _read(tmp_path / "out" / "solution.csv")
-    assert hashlib.sha256(raw).hexdigest() == CASE_A_N8_SOLUTION_SHA256
+    assert hashlib.sha256(raw).hexdigest() == CASE_A_N8_SOLUTION_SHA256, _openblas_cores()
 
 
 def test_out_flag_overrides_output(tmp_path):
@@ -258,7 +287,7 @@ def test_compare_pair_bytes_frozen(tmp_path):
     assert main(["compare", "--config", _pair_config(tmp_path)]) == 0
     for name, digest in PAIR_SHA256.items():
         raw = _read(tmp_path / "out" / name)
-        assert hashlib.sha256(raw).hexdigest() == digest, name
+        assert hashlib.sha256(raw).hexdigest() == digest, f"{name}; {_openblas_cores()}"
 
 
 def test_compare_pair_bytes_frozen_fresh_interpreter(tmp_path):
@@ -273,7 +302,7 @@ def test_compare_pair_bytes_frozen_fresh_interpreter(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for name, digest in PAIR_SHA256.items():
         raw = _read(tmp_path / "out" / name)
-        assert hashlib.sha256(raw).hexdigest() == digest, name
+        assert hashlib.sha256(raw).hexdigest() == digest, f"{name}; {_openblas_cores()}"
 
 
 def _assert_pair_bytes(out):
@@ -347,7 +376,7 @@ def test_converge_bytes_frozen(tmp_path):
     cfg = _write_config(tmp_path / "run.json", **_readme_config())
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     raw = _read(tmp_path / "out" / "convergence.csv")
-    assert hashlib.sha256(raw).hexdigest() == README_CONVERGENCE_SHA256
+    assert hashlib.sha256(raw).hexdigest() == README_CONVERGENCE_SHA256, _openblas_cores()
 
 
 # config.json of each command on the README's config, minus "output": every

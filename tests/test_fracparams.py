@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,6 +10,7 @@ from fracspec import (
     predicted_rates,
     solve_beta,
 )
+from fracspec.jacobi import log_gamma
 from reference_math import beta_to_r, sigma
 
 
@@ -115,6 +117,36 @@ def test_mu_values_and_growth():
         )
     with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
         mu(fp, -1)
+
+
+@pytest.mark.parametrize("alpha", [1.001, 1.5, 1.999])
+@pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+def test_mu_array_matches_scalar_bit_for_bit(alpha, r):
+    # assemble_B0 asks for all N+1 values at once; each must be the scalar
+    # value, written here as first written
+    fp = solve_beta(alpha, r)
+    got = mu(fp, np.arange(2049))
+    assert got.dtype == np.float64 and got.shape == (2049,)
+    first = [fp.c_star_star * math.exp(log_gamma(k + fp.alpha) - log_gamma(k + 1.0))
+             for k in range(2049)]
+    assert got.tolist() == [mu(fp, k) for k in range(2049)] == first
+
+
+@pytest.mark.parametrize(
+    "k",
+    [True, np.True_, 2.5, 2.0, np.float64(3.0), np.array(2.5),
+     np.array([0, 1.5]), np.array([True, False]), [0, 2.5]],
+    ids=["bool", "numpy-bool", "float", "integral-float", "numpy-float",
+         "0d-float-array", "float-array", "bool-array", "float-list"],
+)
+def test_mu_refuses_non_integer_index(k):
+    with pytest.raises(TypeError, match="integer"):
+        mu(solve_beta(1.3, 0.5), k)
+
+
+def test_mu_refuses_negative_index_in_array():
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        mu(solve_beta(1.3, 0.5), np.array([3, -1, 0]))
 
 
 def test_sigma_values_and_link_to_mu():

@@ -3,9 +3,10 @@
 linsolve.factor, linsolve.lu_solve, linsolve.condition_estimate and the
 diagnostics of solver.solve must give every bit that factor_checked,
 lu_solve_checked, condition_checked and relative_residual give, on a seeded
-sweep of about 200 systems: random orders 2-80 at scales far from 1, views
-and transposes, integer and sparse entries, the paper study's leading
-blocks and near-singular Hilbert matrices.  Every bad input must raise the
+sweep of about 280 systems: random orders 2-80 at scales far from 1, views
+and transposes, integer and sparse entries, strided and leading-block
+right-hand sides, the paper study's leading blocks and near-singular
+Hilbert matrices.  Every bad input must raise the
 same error, with the same message where the first form wrote one.
 """
 
@@ -136,6 +137,25 @@ def test_study_systems_match_first_form_bit_for_bit():
     for spec, system in systems:
         _assert_same(system.matrix, system.rhs)
         _assert_solve_same(spec, system)
+
+
+def test_strided_and_view_inputs_match_first_form_bit_for_bit():
+    # lu_solve hands its rhs to getrs as given, so a strided rhs and the
+    # leading block of a larger system (DiscreteSystem.leading's views) must
+    # solve as through scipy.linalg.lu_solve
+    rng = np.random.default_rng(2411)
+    for A, rhs in _random_systems(40, seed=2412):
+        n = len(rhs)
+        strided = np.repeat(rhs, 2)[::2]
+        assert not strided.flags.c_contiguous
+        _assert_same(A, strided)
+        big_A = rng.standard_normal((n + 5, n + 5))
+        big_A[:n, :n] = A
+        big_rhs = np.concatenate([rhs, rng.standard_normal(5)])
+        kept = big_rhs.copy()
+        _assert_same(big_A[:n, :n], big_rhs[:n])
+        # getrs works on a copy: the caller's rhs is left as it was
+        assert np.array_equal(big_rhs, kept)
 
 
 def test_near_singular_systems_match_first_form():

@@ -230,6 +230,27 @@ def test_error_norms_rejects_nan_order(orders):
         error_norms(_unit(p, 6, 1), _unit(p, 6, 2), orders)
 
 
+def test_error_norms_match_sobolev_norm_of_difference_bit_for_bit():
+    # error_norms forms the weights and the squared difference once for all
+    # orders; each norm must be sobolev_norm's on the zero-padded difference
+    rng = np.random.default_rng(27)
+    p = JacobiParams(0.35, 0.95)
+    orders = [0.0, 1.0, 0.5, 2.75, 0.0]
+    for n_ref, n in ((41, 9), (17, 17), (5, 12)):
+        a = CoeffVec(p, rng.standard_normal(n_ref) * 10.0 ** rng.uniform(-8, 2, n_ref))
+        b = CoeffVec(p, rng.standard_normal(n))
+        diff = np.zeros(max(n_ref, n))
+        diff[:n_ref] += a.coeffs
+        diff[:n] -= b.coeffs
+        want = [sobolev_norm(CoeffVec(p, diff), s) for s in orders]
+        j = np.arange(diff.size)
+        first = [float(np.sqrt(np.sum((1.0 + j * j) ** s * diff ** 2))) for s in orders]
+        assert error_norms(a, b, orders) == want == first
+    for bad in ([-1.0], [0.0, -1e-300], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="order must be nonnegative"):
+            error_norms(a, b, bad)
+
+
 def test_error_norms_pads_shorter_vector():
     p = (0.3, 0.3)
     long = CoeffVec(JacobiParams(*p), np.array([1.0, 2.0, 3.0, 4.0]))
