@@ -152,10 +152,20 @@ class DiscreteSystem:
                 f"DiscreteSystem: degree {N} must lie in 1..{len(self.rhs) - 1}"
             )
         n = N + 1
-        # a block of checked entries needs no second __post_init__
-        block = object.__new__(DiscreteSystem)
-        block.__dict__.update(vars(self), matrix=self.matrix[:n, :n], rhs=self.rhs[:n])
-        return block
+        return DiscreteSystem._checked(
+            self.matrix[:n, :n], self.rhs[:n], self.k_nodes, self.k_values
+        )
+
+    @classmethod
+    def _checked(cls, matrix, rhs, k_nodes, k_values) -> "DiscreteSystem":
+        """A system of float arrays of matching shapes whose entries the
+        caller has just checked finite, built without a second
+        __post_init__."""
+        system = object.__new__(cls)
+        system.__dict__.update(
+            matrix=matrix, rhs=rhs, k_nodes=k_nodes, k_values=k_values
+        )
+        return system
 
 
 def composite_rule(p, n: int, breaks) -> QuadratureRule:
@@ -330,4 +340,5 @@ def assemble_system(
     A = B0 + B1 + B2
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise AssemblyError("assembled system has non-finite entries (overflow)")
-    return DiscreteSystem(A, rhs, k_sampled[0].nodes, k_sampled[1])
+    # float blocks of one degree, so only finiteness was left to check
+    return DiscreteSystem._checked(A, rhs, k_sampled[0].nodes, k_sampled[1])

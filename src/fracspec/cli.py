@@ -154,7 +154,7 @@ def load_config(path: str, out_override: Optional[str], command: str) -> RunConf
     _require(isinstance(raw, dict), "config: top level must be a JSON object")
     unknown = set(raw) - set(_FIELDS)
     _require(not unknown, f"config: unknown keys {sorted(unknown)}")
-    if out_override:
+    if out_override is not None:
         raw["output"] = out_override
     _require(
         raw.get("output"),

@@ -6,14 +6,21 @@ coefficient couples every test polynomial to every trial one, so there is
 nothing to gain from sparsity.  Factorization is LU with partial
 pivoting; a pivot smaller than 1e-14 times the largest entry of A is
 treated as singular and reported with its index.  One factor() serves
-both the solve and the condition estimate, and each check runs once:
-factor() reads max|A| (non-finite exactly when an entry is, so it is the
-finiteness check) and ||A||_1 from one |A| and hands getrf checked data;
-lu_solve() checks the rhs and calls LAPACK's getrs itself, the one call
-that scipy.linalg.lu_solve makes after its batch and dtype dispatch, so
-the solution has the same bits without that wrapper's cost; it reads
-max|U| with LAPACK's lantr.  solver.solve calls factor() and takes
-||A||_inf.
+both the solve and the condition estimate, and the solve path checks
+each of its arrays once:
+- factor() checks A: max|A| (non-finite exactly when an entry is, so it
+  is the finiteness check) and ||A||_1 come from one |A|, getrf gets
+  checked data, and the failing pivot's index is looked up only when a
+  pivot falls below the threshold;
+- lu_solve() checks the rhs and calls LAPACK's getrs itself, the one call
+  that scipy.linalg.lu_solve makes after its batch and dtype dispatch, so
+  the solution has the same bits without that wrapper's cost; it reads
+  max|U| with LAPACK's lantr;
+- solver.solve checks the solution: the max|phi| of its residual is also
+  phi's finiteness check.
+The reductions are ufunc reduces (np.maximum.reduce, np.add.reduce), the
+same sums and maxima as the ndarray methods without their Python-level
+wrappers.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ def factor(A) -> tuple[np.ndarray, np.ndarray, float, float]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
     absA = np.abs(A)
     # initial=0 as in np.linalg.norm, so an empty A has max|A| = 0
-    amax = float(absA.max(initial=0.0))
+    amax = float(np.maximum.reduce(absA, axis=None, initial=0.0))
     if not math.isfinite(amax):
         raise ValueError("matrix entries must be finite")
     with warnings.catch_warnings():
@@ -48,14 +55,17 @@ def factor(A) -> tuple[np.ndarray, np.ndarray, float, float]:
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
     pivots = np.abs(lu.diagonal())
-    bad = np.nonzero(pivots < 1e-14 * amax)[0] if amax > 0 else np.arange(A.shape[0])
-    if bad.size:
-        i = int(bad[0])
+    threshold = 1e-14 * amax
+    small = pivots < threshold
+    # a zero A has threshold 0, which no pivot falls below: it fails at pivot 0
+    if pivots.size and (amax == 0.0 or np.logical_or.reduce(small)):
+        i = int(np.argmax(small))
         raise SingularMatrixError(
             f"matrix is singular to working precision: pivot {i} has magnitude "
-            f"{pivots[i] if amax > 0 else 0.0:.3e} (threshold {1e-14 * amax:.3e})"
+            f"{pivots[i]:.3e} (threshold {threshold:.3e})"
         )
-    return lu, piv, amax, float(absA.sum(axis=0).max(initial=0.0))
+    anorm = np.maximum.reduce(np.add.reduce(absA, axis=0), initial=0.0)
+    return lu, piv, amax, float(anorm)
 
 
 def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:
@@ -70,7 +80,7 @@ def lu_solve(factors, rhs) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"rhs length {rhs.shape} does not match matrix order {lu.shape[0]}"
         )
-    if not math.isfinite(np.abs(rhs).max()):
+    if not math.isfinite(np.maximum.reduce(np.abs(rhs))):
         raise ValueError("rhs entries must be finite")
     x, info = scipy.linalg.lapack.dgetrs(lu, piv, rhs)
     if info != 0:

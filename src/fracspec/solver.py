@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,6 +34,11 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
     system is spec's system when the caller has assembled it already, such
     as assemble_system(spec, shared) or the leading block of a higher-degree
     system at the same quadrature; it is solved as given.
+
+    A system's entries are checked where it is built, A by factor() again
+    and the rhs by lu_solve(); phi is checked here, by the max|phi| that the
+    relative residual ||A phi - rhs||_inf / (||A||_inf ||phi||_inf) reads,
+    with CoeffVec's error, so the CoeffVec returned is not checked again.
     """
     if system is None:
         system = assemble_system(spec)
@@ -44,12 +50,17 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
     factors = factor(system.matrix)
     phi_vec, pivot_growth = lu_solve(factors, system.rhs)
     cond = condition_estimate(factors)
+    phi_max = np.maximum.reduce(np.abs(phi_vec))
+    # max|phi| is non-finite exactly when an entry is: CoeffVec's check
+    if not math.isfinite(phi_max):
+        raise ValueError("CoeffVec: coefficients must be finite")
     res = system.matrix @ phi_vec - system.rhs
-    denom = float(np.abs(system.matrix).sum(axis=1).max() * np.abs(phi_vec).max())
-    residual = float(np.abs(res).max() / denom) if denom > 0 else 0.0
+    a_inf = np.maximum.reduce(np.add.reduce(np.abs(system.matrix), axis=1))
+    denom = float(a_inf * phi_max)
+    residual = float(np.maximum.reduce(np.abs(res)) / denom) if denom > 0 else 0.0
     return Solution(
         spec=spec,
-        phi=CoeffVec(spec.fp.trial, phi_vec),
+        phi=CoeffVec._checked(spec.fp.trial, phi_vec),
         diagnostics={
             "k_min": k_min,
             "k_min_location": k_at,

@@ -7,6 +7,7 @@ FracParams.trial, whose weight (1-x)^a x^b is omega.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -31,6 +32,14 @@ class CoeffVec:
         if not np.isfinite(c).all():
             raise ValueError("CoeffVec: coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
+
+    @classmethod
+    def _checked(cls, params: JacobiParams, coeffs: np.ndarray) -> "CoeffVec":
+        """A vector of a nonempty float vector whose finiteness the caller
+        has just checked, built without a second __post_init__."""
+        v = object.__new__(cls)
+        v.__dict__.update(params=params, coeffs=coeffs)
+        return v
 
     @property
     def degree(self) -> int:
@@ -68,14 +77,20 @@ def sobolev_norm(v: CoeffVec, s: float) -> float:
 
 def _sobolev_norms(c: np.ndarray, orders: Sequence[float]) -> list[float]:
     """sobolev_norm of the coefficients c at each order, with the weights
-    1+j^2 and c^2 formed once for all of them."""
+    1+j^2 and c^2 formed once for all of them.  Orders 0 and 1 read c^2
+    and w c^2 without the power, whose bits they are: pow(w, 0) = 1 and
+    pow(w, 1) = w exactly."""
     # written so that NaN fails too
     bad = [s for s in orders if not s >= 0]
     if bad:
         raise ValueError(f"sobolev_norm: order must be nonnegative, got {bad[0]}")
     j = np.arange(c.size)
-    w, c2 = 1.0 + j * j, c ** 2
-    return [float(np.sqrt(np.sum(w ** s * c2))) for s in orders]
+    w, c2 = 1.0 + j * j, c * c
+    norms = []
+    for s in orders:
+        terms = c2 if s == 0 else w * c2 if s == 1 else w ** s * c2
+        norms.append(math.sqrt(np.add.reduce(terms)))
+    return norms
 
 
 def eval_solution(phis: Sequence[CoeffVec], x) -> list:
@@ -121,7 +136,11 @@ def error_norms(
         raise ValueError(
             f"error_norms: basis mismatch, {phi_ref.params} vs {phi_N.params}"
         )
-    diff = np.zeros(max(phi_ref.coeffs.size, phi_N.coeffs.size))
-    diff[: phi_ref.coeffs.size] += phi_ref.coeffs
-    diff[: phi_N.coeffs.size] -= phi_N.coeffs
-    return _sobolev_norms(CoeffVec(phi_ref.params, diff).coeffs, mu_list)
+    longer, shorter = phi_ref.coeffs, phi_N.coeffs
+    if longer.size < shorter.size:
+        longer, shorter = shorter, longer
+    # the difference of two checked vectors needs no check of its own; the
+    # norms read only its squares, so phi_N - phi_ref serves as well
+    diff = longer.copy()
+    diff[: shorter.size] -= shorter
+    return _sobolev_norms(diff, mu_list)

@@ -4,20 +4,24 @@ The package itself never calls these: they are the independent side of a
 comparison (classical Jacobi values, norms and derivatives, the Gamma and
 beta functions, the test weight omega*, the inverse map beta -> r, the
 sigma_k sequence, the one-at-a-time Jacobi matrix, rule and table
-loops, the sorted composite rule, and the solve path's checked LU,
-triangular solve, condition estimate and relative residual as first
-written), so they live next to the tests.
+loops, the sorted composite rule, the solve path's checked LU,
+triangular solve, condition estimate and relative residual, and the
+convergence sweep's rows as first written), so they live next to the
+tests.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal
 
+from fracspec.assembly import assemble_system
+from fracspec.coeffexpr import sample
 from fracspec.fracparams import FracParams, _denominator
 from fracspec.jacobi import JacobiParams, _mu0, as_params, gauss_jacobi, log_gamma
 from fracspec.linsolve import SingularMatrixError
@@ -353,3 +357,44 @@ def relative_residual(A, x, rhs):
     res = A @ x - rhs
     denom = float(np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf))
     return float(np.linalg.norm(res, np.inf) / denom) if denom > 0 else 0.0
+
+
+def convergence_rows_first_form(spec, Ns, N_ref: int):
+    """(rows, predicted) of experiments.run_convergence at s_f = inf as
+    first written: the system assembled once at N_ref, each leading block
+    solved by scipy.linalg.lu_factor and lu_solve, each error the Sobolev
+    norm of the zero-padded difference, each rate ln(e1/e2)/ln(N2/N1), and
+    the predicted rates from the regularity ceiling, with b taken as zero
+    when it samples to zero on a grid.  The package must match this bit for
+    bit."""
+    system = assemble_system(replace(spec, N=N_ref))
+    A, rhs = system.matrix, system.rhs
+
+    def phi(N):
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(A[: N + 1, : N + 1]), rhs[: N + 1])
+
+    phi_ref = phi(N_ref)
+    errs = []
+    for N in Ns:
+        diff = np.zeros(N_ref + 1)
+        diff[: N_ref + 1] += phi_ref
+        diff[: N + 1] -= phi(N)
+        j = np.arange(diff.size)
+        errs.append([float(np.sqrt(np.sum((1.0 + j * j) ** s * diff ** 2))) for s in (0.0, 1.0)])
+    rows = []
+    for i, (N, (e0, e1)) in enumerate(zip(Ns, errs)):
+        if i == 0:
+            rows.append((N, e0, None, e1, None))
+            continue
+        Np, (e0p, e1p) = Ns[i - 1], errs[i - 1]
+        r0, r1 = (
+            math.log(ep / e) / math.log(N / Np) if ep > 0.0 and e > 0.0 else None
+            for ep, e in ((e0p, e0), (e1p, e1))
+        )
+        rows.append((N, e0, r0, e1, r1))
+    a, b = spec.fp.alpha, spec.fp.beta
+    b_zero = not np.any(sample(spec.b, np.linspace(0.0, 1.0, 257)[1:-1]))
+    shift = 1.0 if b_zero else -1.0
+    s_tilde = min(a + (a - b) + shift, a + b + shift)
+    second = s_tilde + a - 1.0 if spec.variant == "acute" else s_tilde + 1.0
+    return tuple(rows), (s_tilde + a, second)

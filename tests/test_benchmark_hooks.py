@@ -101,14 +101,19 @@ def test_traced_warm_solve_counts_every_table(monkeypatch):
 
 
 def test_traced_convergence_sweep(monkeypatch):
+    Ns = [8, 10]
     tracer = _traced(
         monkeypatch,
-        lambda: fracspec.experiments.run_convergence(_case_a_spec(8), [8, 10], 12),
+        lambda: fracspec.experiments.run_convergence(_case_a_spec(8), Ns, 12),
     )
-    layers = {span[0] for span in tracer.spans}
-    assert layers >= set(SOLVE_LAYERS)
+    layers = [span[0] for span in tracer.spans]
+    assert set(layers) >= set(SOLVE_LAYERS)
     # one factorization for the reference and one per degree
-    assert tracer.counts["linsolve.factorizations"] == 3
+    assert tracer.counts["linsolve.factorizations"] == len(Ns) + 1
+    # the per-call counts that CI's traced study_paper run asserts: each
+    # solve and each row's norms go through the bindings the tracer wraps
+    assert layers.count("solver.solve") == len(Ns) + 1
+    assert layers.count("spaces.error_norms") == len(Ns)
 
 
 def test_traced_two_diffusivity_comparison(monkeypatch):

@@ -46,11 +46,11 @@ def _read(path):
         return fh.read()
 
 
-def _openblas_cores() -> str:
+def _openblas_cores() -> tuple[str, str]:
     """The cores that numpy's and scipy's bundled OpenBLAS libraries picked
     their kernels for, "unknown" where a library or its query is absent.
-    The frozen digests pin bits that hold for one core (SkylakeX), so a
-    digest test that fails names the core it ran under."""
+    OPENBLAS_CORETYPE picks both; the library reports the kernels it
+    actually runs (Zen runs Haswell's, Cooperlake SkylakeX's)."""
     import ctypes
 
     import scipy
@@ -66,12 +66,30 @@ def _openblas_cores() -> str:
         if get is not None:
             get.argtypes, get.restype = [], ctypes.c_char_p
             core = get().decode()
-        cores.append(f"{pkg.__name__} {core}")
-    return "OpenBLAS core: " + ", ".join(cores)
+        cores.append(core)
+    return tuple(cores)
+
+
+def _frozen(digests: dict):
+    """The entry of digests frozen for the OpenBLAS core this process runs.
+
+    The CSV bytes pin the last bit of every answer, and those bits differ
+    between OpenBLAS kernels (the dgemm products of the assembly and LAPACK
+    itself), so each file has one digest per core it was frozen under.  A
+    core with none fails and names itself: freeze its digests, never skip.
+    """
+    numpy_core, scipy_core = _openblas_cores()
+    assert numpy_core == scipy_core and numpy_core in digests, (
+        f"no frozen digest for OpenBLAS core: numpy {numpy_core}, scipy {scipy_core} "
+        f"(frozen for {', '.join(digests)})"
+    )
+    return digests[numpy_core]
 
 
 def test_openblas_cores_are_named():
-    assert re.fullmatch(r"OpenBLAS core: numpy \S+, scipy \S+", _openblas_cores())
+    assert all(re.fullmatch(r"\S+", core) for core in _openblas_cores())
+    with pytest.raises(AssertionError, match="no frozen digest for OpenBLAS core: numpy "):
+        _frozen({})
 
 
 # -------------------------------------------------------------------- solve
@@ -144,18 +162,20 @@ def test_solve_summary_bytes_frozen(tmp_path):
     assert _read(tmp_path / "out" / "summary.txt") == CASE_A_N8_SUMMARY
 
 
-# SHA-256 of solution.csv for the config above, taken before the CSV writer
-# formatted each file in one pass; the bytes must not move
-CASE_A_N8_SOLUTION_SHA256 = (
-    "8973f8eed6015c2813bc014d098d4bd70cf23713456f6062230c55f54076e15f"
-)
+# SHA-256 of solution.csv for the config above under each OpenBLAS core,
+# taken for SkylakeX before the CSV writer formatted each file in one pass;
+# the bytes must not move
+CASE_A_N8_SOLUTION_SHA256 = {
+    "SkylakeX": "8973f8eed6015c2813bc014d098d4bd70cf23713456f6062230c55f54076e15f",
+    "Haswell": "5f04ad3bb1fd5ef00abfdb3a764d8a90bf72d0424a9c211867a3dee61cb562b2",
+}
 
 
 def test_solve_solution_bytes_frozen(tmp_path):
     cfg = _base(tmp_path, N=8, grid_points=21)
     assert main(["solve", "--config", cfg]) == 0
     raw = _read(tmp_path / "out" / "solution.csv")
-    assert hashlib.sha256(raw).hexdigest() == CASE_A_N8_SOLUTION_SHA256, _openblas_cores()
+    assert hashlib.sha256(raw).hexdigest() == _frozen(CASE_A_N8_SOLUTION_SHA256)
 
 
 def test_out_flag_overrides_output(tmp_path):
@@ -166,6 +186,17 @@ def test_out_flag_overrides_output(tmp_path):
     assert not (tmp_path / "out").exists()
     echo = json.loads((override / "config.json").read_text())
     assert echo["output"] == str(override)
+
+
+def test_empty_out_flag_is_a_config_error(tmp_path, capsys):
+    # an empty --out overrides the config's output too, and names no directory
+    cfg = _base(tmp_path, N=6, grid_points=11)
+    for command in ("solve", "converge", "compare"):
+        assert main([command, "--config", cfg, "--out", ""]) == 1
+        assert capsys.readouterr().err == (
+            "fracspec: config: an output directory is required ('output' key or --out)\n"
+        )
+    assert not (tmp_path / "out").exists()
 
 
 def test_solution_values_roundtrip_full_precision(tmp_path):
@@ -275,19 +306,26 @@ def test_compare_pair_of_diffusivities(tmp_path):
     assert not (out / "compare.csv").exists()
 
 
-# SHA-256 of the compare CSVs of _pair_config, taken before the CSV writer
-# formatted each file in one pass and the grid table was shared
+# SHA-256 of the compare CSVs of _pair_config under each OpenBLAS core,
+# taken for SkylakeX before the CSV writer formatted each file in one pass
+# and the grid table was shared
 PAIR_SHA256 = {
-    "compare_k1.csv": "ac5d43377ce5f7cc38ef35a2a6686646b30033075630dd3930e7a2716b231878",
-    "compare_k2.csv": "786e2c13e42169e73bdc5eb13327375a8cc56cb4cd3c0659a086f38279033f68",
+    "SkylakeX": {
+        "compare_k1.csv": "ac5d43377ce5f7cc38ef35a2a6686646b30033075630dd3930e7a2716b231878",
+        "compare_k2.csv": "786e2c13e42169e73bdc5eb13327375a8cc56cb4cd3c0659a086f38279033f68",
+    },
+    "Haswell": {
+        "compare_k1.csv": "f7332444e03ce0c70d197a2fc0cd6c78ac4ef0aacdd814aefd09ab99ea1ccb7d",
+        "compare_k2.csv": "3b2e5d576eb7f7bb220bcee44bca0e57a9e43431327aed2335ce9807880d1215",
+    },
 }
 
 
 def test_compare_pair_bytes_frozen(tmp_path):
     assert main(["compare", "--config", _pair_config(tmp_path)]) == 0
-    for name, digest in PAIR_SHA256.items():
+    for name, digest in _frozen(PAIR_SHA256).items():
         raw = _read(tmp_path / "out" / name)
-        assert hashlib.sha256(raw).hexdigest() == digest, f"{name}; {_openblas_cores()}"
+        assert hashlib.sha256(raw).hexdigest() == digest, name
 
 
 def test_compare_pair_bytes_frozen_fresh_interpreter(tmp_path):
@@ -300,13 +338,13 @@ def test_compare_pair_bytes_frozen_fresh_interpreter(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    for name, digest in PAIR_SHA256.items():
+    for name, digest in _frozen(PAIR_SHA256).items():
         raw = _read(tmp_path / "out" / name)
-        assert hashlib.sha256(raw).hexdigest() == digest, f"{name}; {_openblas_cores()}"
+        assert hashlib.sha256(raw).hexdigest() == digest, name
 
 
 def _assert_pair_bytes(out):
-    for name, digest in PAIR_SHA256.items():
+    for name, digest in _frozen(PAIR_SHA256).items():
         assert hashlib.sha256(_read(out / name)).hexdigest() == digest, name
     assert json.loads((out / "config.json").read_text())["output"] == str(out)
 
@@ -365,18 +403,20 @@ def _readme_config():
     return json.loads(text.split("```json\n", 1)[1].split("```", 1)[0])
 
 
-# SHA-256 of convergence.csv for the README's config, taken before the
-# config reader was shortened; the bytes must not move
-README_CONVERGENCE_SHA256 = (
-    "690f36486a5c3409c95e58035431c04a12904c8ccafd16b21ce2ef3de3771309"
-)
+# SHA-256 of convergence.csv for the README's config under each OpenBLAS
+# core, taken for SkylakeX before the config reader was shortened; the bytes
+# must not move
+README_CONVERGENCE_SHA256 = {
+    "SkylakeX": "690f36486a5c3409c95e58035431c04a12904c8ccafd16b21ce2ef3de3771309",
+    "Haswell": "84c325536522abbc691067085921832cc3d2fe6c835509920c548aa0386071e3",
+}
 
 
 def test_converge_bytes_frozen(tmp_path):
     cfg = _write_config(tmp_path / "run.json", **_readme_config())
     assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     raw = _read(tmp_path / "out" / "convergence.csv")
-    assert hashlib.sha256(raw).hexdigest() == README_CONVERGENCE_SHA256, _openblas_cores()
+    assert hashlib.sha256(raw).hexdigest() == _frozen(README_CONVERGENCE_SHA256)
 
 
 # config.json of each command on the README's config, minus "output": every

@@ -26,6 +26,7 @@ from fracspec.fracparams import solve_beta
 from fracspec.jacobi import JacobiParams, eval_Ghat_table
 from fracspec.linsolve import SingularMatrixError
 from fracspec.solver import solve
+from reference_math import convergence_rows_first_form
 
 
 def _one(x):
@@ -301,6 +302,31 @@ def test_paper_study_err_L2_frozen(case):
     spec = replace(_case_a(), fp=solve_beta(alpha, r), k=k)
     rep = run_convergence(spec, [8, 10, 12, 14, 16], N_ref=40)
     assert [row[1] for row in rep.rows] == pytest.approx(want, rel=1e-10)
+
+
+def _sweep_specs():
+    exprs = {"b": parse("exp(x)"), "c": parse("5+sin(x)"), "f": parse("1")}
+    specs = {}
+    for case, (alpha, r, k) in {"A": (1.3, 0.5, "1+2*x"), "B": (1.6, 0.4, "1-0.3*sin(x)")}.items():
+        for variant in ("acute", "grave"):
+            specs[f"{case}-{variant}"] = ProblemSpec(
+                fp=solve_beta(alpha, r), variant=variant, k=parse(k), N=8, **exprs)
+    specs["b-zero-grave"] = replace(specs["A-grave"], b=parse("0"))
+    specs["rough-f"] = replace(specs["A-acute"], f=parse("abs(x-0.5)"))
+    return specs
+
+
+SWEEP_SPECS = _sweep_specs()
+
+
+@pytest.mark.parametrize("spec", SWEEP_SPECS.values(), ids=SWEEP_SPECS)
+def test_sweep_matches_first_form_bit_for_bit(spec):
+    # the sweep's solve and norm steps skip checks their inputs have passed
+    # already; every row and rate must keep the bits of the first form
+    rep = run_convergence(spec, [8, 10, 12, 14, 16], N_ref=40)
+    rows, predicted = convergence_rows_first_form(spec, [8, 10, 12, 14, 16], 40)
+    assert rep.rows == rows
+    assert rep.predicted == predicted
 
 
 # ----------------------------------------------------------- run_comparison

@@ -246,6 +246,25 @@ def test_error_norms_match_sobolev_norm_of_difference_bit_for_bit():
         j = np.arange(diff.size)
         first = [float(np.sqrt(np.sum((1.0 + j * j) ** s * diff ** 2))) for s in orders]
         assert error_norms(a, b, orders) == want == first
+    # every pair of lengths up to 60, each way round, with signed zeros that
+    # the first form's zero-padded sum turned into +0
+    for n_ref in range(1, 61):
+        for n in (1, n_ref // 2 + 1, n_ref, 61 - n_ref, 60):
+            a_c = rng.standard_normal(n_ref) * 10.0 ** rng.uniform(-8, 2, n_ref)
+            b_c = rng.standard_normal(n)
+            m = min(n_ref, n)
+            a_c[rng.random(n_ref) < 0.2] = -0.0
+            b_c[rng.random(n) < 0.2] = 0.0
+            # equal entries, whose difference is a zero of either sign
+            same = rng.random(m) < 0.2
+            b_c[:m][same] = a_c[:m][same]
+            for x, y in ((a_c, b_c), (b_c, a_c)):
+                diff = np.zeros(max(x.size, y.size))
+                diff[: x.size] += x
+                diff[: y.size] -= y
+                j = np.arange(diff.size)
+                first = [float(np.sqrt(np.sum((1.0 + j * j) ** s * diff ** 2))) for s in orders]
+                assert error_norms(CoeffVec(p, x), CoeffVec(p, y), orders) == first
     for bad in ([-1.0], [0.0, -1e-300], [1.0, math.nan]):
         with pytest.raises(ValueError, match="order must be nonnegative"):
             error_norms(a, b, bad)
