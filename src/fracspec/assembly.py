@@ -117,14 +117,14 @@ class ProblemSpec:
 class DiscreteSystem:
     """Dense system: matrix entry (j, i) pairs trial i against test j.
 
-    k_nodes and k_values are the nodes of B0's rule and the diffusivity
-    sampled on them, which k_floor reads; None for a system built by hand.
+    k_min and k_min_location are the least diffusivity sample on B0's rule
+    and its node, which k_floor reads; None for a system built by hand.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    k_nodes: Optional[np.ndarray] = None
-    k_values: Optional[np.ndarray] = None
+    k_min: Optional[float] = None
+    k_min_location: Optional[float] = None
 
     def __post_init__(self):
         A = np.asarray(self.matrix, dtype=float)
@@ -153,17 +153,17 @@ class DiscreteSystem:
             )
         n = N + 1
         return DiscreteSystem._checked(
-            self.matrix[:n, :n], self.rhs[:n], self.k_nodes, self.k_values
+            self.matrix[:n, :n], self.rhs[:n], self.k_min, self.k_min_location
         )
 
     @classmethod
-    def _checked(cls, matrix, rhs, k_nodes, k_values) -> "DiscreteSystem":
+    def _checked(cls, matrix, rhs, k_min, k_min_location) -> "DiscreteSystem":
         """A system of float arrays of matching shapes whose entries the
         caller has just checked finite, built without a second
         __post_init__."""
         system = object.__new__(cls)
         system.__dict__.update(
-            matrix=matrix, rhs=rhs, k_nodes=k_nodes, k_values=k_values
+            matrix=matrix, rhs=rhs, k_min=k_min, k_min_location=k_min_location
         )
         return system
 
@@ -171,12 +171,11 @@ class DiscreteSystem:
 def composite_rule(p, n: int, breaks) -> QuadratureRule:
     """Quadrature for omega^{(a,b)} on (0,1) split at interior breakpoints.
 
-    The first piece [0, x1] uses a rule with weight x^b alone, folding the
-    smooth-there factor (1-x)^a into the integrand weight; the last piece
-    mirrors this with (1-x)^a.  Interior pieces use Gauss-Legendre with the
-    whole weight folded in.  Each piece gets n points, so piecewise
-    polynomials of degree < 2n against the same breaks integrate to rel.
-    1e-9.
+    Each piece takes the n-point Gauss-Jacobi rule of the weight's factors
+    singular on it, x^b first, (1-x)^a last and none inside, and folds the
+    rest into its weights, so piecewise polynomials of degree < 2n against
+    the same breaks integrate to rel. 1e-9.  Its arrays are its own, except
+    with no breaks: then it is gauss_jacobi(p, n), shared and read-only.
     """
     p = as_params(p)
     breaks = [float(b) for b in breaks]
@@ -188,24 +187,17 @@ def composite_rule(p, n: int, breaks) -> QuadratureRule:
         return gauss_jacobi(p, n)
     a, b = p.a, p.b
     edges = [0.0] + breaks + [1.0]
-    left_rule = gauss_jacobi(JacobiParams(0.0, b), n)
-    right_rule = gauss_jacobi(JacobiParams(a, 0.0), n)
-    mid_rule = gauss_jacobi(JacobiParams(0.0, 0.0), n)
-    nodes = []
-    weights = []
+    nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
+        first, last = lo == 0.0, hi == 1.0
+        pa, pb = (a if last else 0.0), (b if first else 0.0)
+        rule = gauss_jacobi(JacobiParams(pa, pb), n)
         h = hi - lo
-        if lo == 0.0:
-            x = h * left_rule.nodes
-            w = h ** (b + 1.0) * left_rule.weights * (1.0 - x) ** a
-        elif hi == 1.0:
-            x = 1.0 - h * (1.0 - right_rule.nodes)
-            w = h ** (a + 1.0) * right_rule.weights * x ** b
-        else:
-            x = lo + h * mid_rule.nodes
-            w = h * mid_rule.weights * (1.0 - x) ** a * x ** b
+        x = 1.0 - h * (1.0 - rule.nodes) if last else lo + h * rule.nodes
+        w = h ** (pa + pb + 1.0) * rule.weights
+        w = w if last else w * (1.0 - x) ** a
         nodes.append(x)
-        weights.append(w)
+        weights.append(w if first else w * x ** b)
     # each piece is ascending and the pieces follow the sorted breaks
     return QuadratureRule(p, np.concatenate(nodes), np.concatenate(weights))
 
@@ -227,11 +219,10 @@ def _tables_on(spec: ProblemSpec, block: str, rule: QuadratureRule) -> list:
 
 def k_floor(system: DiscreteSystem) -> tuple[float, float]:
     """Minimum of k over the assembly quadrature grid and where it occurs,
-    read from the samples B0 was assembled from."""
-    if system.k_values is None:
+    as assemble_system found them on the samples B0 was assembled from."""
+    if system.k_min is None:
         raise ValueError("k_floor: the system carries no diffusivity samples")
-    idx = int(np.argmin(system.k_values))
-    return float(system.k_values[idx]), float(system.k_nodes[idx])
+    return system.k_min, system.k_min_location
 
 
 def _shifted(p: JacobiParams) -> JacobiParams:
@@ -330,7 +321,7 @@ def assemble_system(
     rules in one batch and all missing tables in another (_prefetch).
     """
     _prefetch(spec, ("B0", "B1", "B2", "rhs") if shared is None else ("B0",))
-    k_sampled = _rule_for(spec, "B0")
+    rule, kv = k_sampled = _rule_for(spec, "B0")
     B0 = assemble_B0(spec, k_sampled)
     if shared is None:
         shared = assemble_B1(spec), assemble_B2(spec), assemble_rhs(spec)
@@ -340,5 +331,6 @@ def assemble_system(
     A = B0 + B1 + B2
     if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise AssemblyError("assembled system has non-finite entries (overflow)")
+    idx = int(np.argmin(kv))
     # float blocks of one degree, so only finiteness was left to check
-    return DiscreteSystem._checked(A, rhs, k_sampled[0].nodes, k_sampled[1])
+    return DiscreteSystem._checked(A, rhs, float(kv[idx]), float(rule.nodes[idx]))

@@ -3,11 +3,11 @@
 The package itself never calls these: they are the independent side of a
 comparison (classical Jacobi values, norms and derivatives, the Gamma and
 beta functions, the test weight omega*, the inverse map beta -> r, the
-sigma_k sequence, the one-at-a-time Jacobi matrix, rule and table
-loops, the sorted composite rule, the solve path's checked LU,
-triangular solve, condition estimate and relative residual, and the
-convergence sweep's rows as first written), so they live next to the
-tests.
+sigma_k sequence, the diffusion block's scale, the one-at-a-time Jacobi
+matrix, rule and table loops, the sorted composite rule, the solve path's
+checked LU, triangular solve, condition estimate and relative residual,
+and the convergence sweep's rows as first written), so they live next to
+the tests.
 """
 
 from __future__ import annotations
@@ -203,6 +203,16 @@ def omega_star(fp: FracParams, x):
     a, b = fp.beta, fp.alpha - fp.beta
     x = np.asarray(x, dtype=float)
     return (1.0 - x) ** a * x ** b
+
+
+def diffusion_scale(fp: FracParams, N: int) -> np.ndarray:
+    """D_i = |c**| Gamma(i+alpha+1)/Gamma(i+1), i = 0..N: the diagonal of
+    B0 at k = 1, from math.lgamma rather than the package's mu."""
+    a = fp.alpha
+    return np.array([
+        -fp.c_star_star * math.exp(math.lgamma(i + a + 1.0) - math.lgamma(i + 1.0))
+        for i in range(N + 1)
+    ])
 
 
 def jacobi_matrix(a: float, b: float, n: int):

@@ -1,9 +1,13 @@
 """Discrete system assembly: blocks, quadrature splitting, validation."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 
+import fracspec.assembly
 from fracspec.assembly import (
     AssemblyError,
     DiscreteSystem,
@@ -106,6 +110,11 @@ def test_composite_rule_no_breaks_is_plain_gauss():
     comp = composite_rule((0.3, -0.2), 12, [])
     assert np.array_equal(plain.nodes, comp.nodes)
     assert np.array_equal(plain.weights, comp.weights)
+    # it is the memo's shared, read-only rule; with breaks the arrays are new
+    assert comp is plain
+    assert not comp.nodes.flags.writeable and not comp.weights.flags.writeable
+    own = composite_rule((0.3, -0.2), 12, [0.5])
+    assert own.nodes.flags.writeable and own.weights.flags.writeable
 
 
 def test_composite_rule_rejects_exterior_breaks():
@@ -157,6 +166,28 @@ def test_composite_rule_piecewise_integrand_oracle():
     assert abs(got - (left + right)) < 1e-12
 
 
+def _rules_read(monkeypatch, breaks, a=0.3, b=-0.2):
+    """The exponents of every rule composite_rule((a, b), 10, breaks) looks up."""
+    seen = []
+
+    def recording(p, n):
+        seen.append((p.a, p.b))
+        return gauss_jacobi(p, n)
+
+    monkeypatch.setattr(fracspec.assembly, "gauss_jacobi", recording)
+    composite_rule((a, b), 10, breaks)
+    return seen
+
+
+def test_composite_rule_reads_only_its_pieces_rules(monkeypatch):
+    # one rule per piece: x^b on the first, (1-x)^a on the last, Legendre
+    # inside, and a one-jump coefficient has no inside piece
+    assert sorted(_rules_read(monkeypatch, [0.5])) == [(0.0, -0.2), (0.3, 0.0)]
+    two = _rules_read(monkeypatch, [0.2, 0.7])
+    assert len(two) == 3
+    assert set(two) == {(0.0, -0.2), (0.3, 0.0), (0.0, 0.0)}
+
+
 # -------------------------------------------------------------- diffusion B0
 
 
@@ -175,6 +206,19 @@ def test_b0_constant_k_diagonal_closed_form():
                 assert np.max(np.abs(np.diag(B0) / want - 1.0)) < 1e-10
                 off = B0 - np.diag(np.diag(B0))
                 assert np.max(np.abs(off)) < 1e-10 * want[-1]
+
+
+@pytest.mark.parametrize("r", [0.5, 0.2])
+def test_b0_tends_to_minus_second_derivative(r):
+    # as alpha -> 2 with k = 1 the operator tends to -d^2/dx^2, so the
+    # pencil (B0, M), M the reaction block at c = 1, has eigenvalues near
+    # m^2 pi^2: this pins the sign and scale of c** from outside the
+    # collapsed forms (measured 0.0017-0.0024 off at alpha 1.999)
+    spec = _spec(alpha=1.999, r=r, N=32, c=_one)
+    lam = scipy.linalg.eigvals(assemble_B0(spec), assemble_B2(spec))
+    lam = lam[np.argsort(np.abs(lam))][:3]
+    for m, value in enumerate(lam, start=1):
+        assert abs(value / (m * m * math.pi ** 2) - 1.0) < 0.005
 
 
 def test_b0_frozen_corner_entry():

@@ -66,7 +66,7 @@ def _case_a_spec(N):
 
 def test_traced_case_a_solve(monkeypatch):
     tracer = _traced(monkeypatch, lambda: fracspec.solver.solve(_case_a_spec(8)))
-    # B0, B1, B2 and rhs build one rule each; k_floor reads B0's samples
+    # B0, B1, B2 and rhs build one rule each; k_floor builds none
     assert tracer.counts["jacobi.gauss_jacobi.calls"] == 4
     assert tracer.counts["linsolve.factorizations"] == 1
     layers = {span[0] for span in tracer.spans}
@@ -125,6 +125,11 @@ def test_traced_two_diffusivity_comparison(monkeypatch):
     layers = {span[0] for span in tracer.spans}
     assert layers >= set(SOLVE_LAYERS) | {"spaces.eval_solution"}
     assert tracer.counts["linsolve.factorizations"] == 4
+    # the counts CI's traced cli_compare run asserts: the shared B1, B2 and
+    # rhs rules, one rule per solve for the smooth k, and for the jump's B0
+    # one composite rule per solve, which looks up one rule per piece
+    assert tracer.counts["jacobi.gauss_jacobi.calls"] == 9
+    assert tracer.counts["assembly.composite_rule.calls"] == 2
 
 
 def test_traced_coefficients_keep_their_breakpoints(monkeypatch):

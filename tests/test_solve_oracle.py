@@ -125,7 +125,7 @@ def test_random_systems_match_first_form_bit_for_bit():
         if len(want) == 2:
             raised += 1
             continue
-        system = DiscreteSystem(A, rhs, np.array([0.5]), np.array([1.0]))
+        system = DiscreteSystem(A, rhs, 1.0, 0.5)
         _assert_solve_same(_spec_for(len(rhs)), system)
     # the sweep is about solves, not about errors
     assert raised <= 2
