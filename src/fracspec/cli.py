@@ -11,15 +11,16 @@ EvalError); any other exception is a fault of the program and propagates.
 load_config reads every key by the kind and integer range its RunConfig
 field carries; settings above MAX_DEGREE (N, N_ref, Ns), MAX_QUAD_POINTS and
 MAX_GRID_POINTS are config errors, and so is an Ns that check_degrees
-rejects, read or not.  Each command parses every expression set
-and builds its ProblemSpec (_build_spec: FracParams checks alpha and r,
-ProblemSpec N and quad_points, at N_ref for converge) before any output.
+rejects, read or not.  Each command starts with one prologue (_prologue):
+it parses every expression set and builds its ProblemSpec (FracParams
+checks alpha and r, ProblemSpec N and quad_points, at N_ref for converge)
+before any output, then echoes the fully resolved config into the output
+directory as config.json: every setting given or defaulted, and spec.q.
 CSV output is deterministic: 17 significant digits, comma separator, LF line
 endings; a command's CSV files share one row array, with the x column
-formatted once.  Every run echoes its fully resolved config into the output
-directory as config.json: every setting given or defaulted, and spec.q.
-The argument parser is built on the first call to main and kept for the
-process.
+formatted once.  The argument parser is one parser, the command a
+positional argument beside --config and --out; it is built on the first
+call to main and kept for the process.
 """
 
 from __future__ import annotations
@@ -218,39 +219,29 @@ def _write_csvs(header: str, x: np.ndarray, files):
             fh.write(rows.tobytes().translate(None, b"\0"))
 
 
-def _echo_config(cfg: RunConfig, command: str, q: int):
-    """config.json: every setting that is set, the command, and the
-    quadrature size q the run ran at."""
-    resolved = {key: val for key, val in asdict(cfg).items() if val is not None}
-    resolved["command"] = command
-    resolved["quad_points"] = q
-    _write_text(
-        os.path.join(cfg.output, "config.json"),
-        json.dumps(resolved, indent=2, sort_keys=True) + "\n",
-    )
-
-
-def _parse_exprs(cfg: RunConfig) -> dict:
-    """Every expression setting parsed, None where unset, read or not."""
-    out = {}
+def _prologue(
+    cfg: RunConfig, command: str, N: int, variant: str, k: str = "k"
+) -> tuple[dict, ProblemSpec]:
+    """What every command does before it solves: parse every expression
+    setting (None where unset, read or not), build the spec of degree N and
+    variant with the expression labelled k as its diffusivity, make the
+    output directory and write config.json there (every setting that is
+    set, the command, and the quadrature size q the run runs at).  Returns
+    the parsed expressions and the spec."""
+    exprs = {}
     for key in ("k", "k1", "k2", "b", "c", "f"):
         src = getattr(cfg, key)
         try:
-            out[key] = None if src is None else parse(src)
+            exprs[key] = None if src is None else parse(src)
         except ParseError as exc:
             raise ConfigError(f"config: bad expression for '{key}': {exc}") from None
-    return out
-
-
-def _build_spec(cfg: RunConfig, exprs: dict, N: int, variant: str) -> ProblemSpec:
     # FracParams' parameter window and ProblemSpec's degree and quadrature
     # size: violations are config mistakes, not numerics
     try:
-        fp = solve_beta(cfg.alpha, cfg.r)
-        return ProblemSpec(
-            fp,
+        spec = ProblemSpec(
+            solve_beta(cfg.alpha, cfg.r),
             variant,
-            exprs["k"],
+            exprs[k],
             exprs["b"],
             exprs["c"],
             exprs["f"],
@@ -259,14 +250,19 @@ def _build_spec(cfg: RunConfig, exprs: dict, N: int, variant: str) -> ProblemSpe
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    os.makedirs(cfg.output, exist_ok=True)
+    resolved = {key: val for key, val in asdict(cfg).items() if val is not None}
+    resolved.update(command=command, quad_points=spec.q)
+    _write_text(
+        os.path.join(cfg.output, "config.json"),
+        json.dumps(resolved, indent=2, sort_keys=True) + "\n",
+    )
+    return exprs, spec
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    exprs = _parse_exprs(cfg)
-    spec = _build_spec(cfg, exprs, cfg.N, cfg.variant)
+    exprs, spec = _prologue(cfg, "solve", cfg.N, cfg.variant)
     fp = spec.fp
-    os.makedirs(cfg.output, exist_ok=True)
-    _echo_config(cfg, "solve", spec.q)
 
     system = assemble_system(spec)
     sol = solve(spec, system)
@@ -297,11 +293,8 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    exprs = _parse_exprs(cfg)
     # the sweep assembles at N_ref, so that is the degree quad_points must suit
-    spec = _build_spec(cfg, exprs, cfg.N_ref, cfg.variant)
-    os.makedirs(cfg.output, exist_ok=True)
-    _echo_config(cfg, "converge", spec.q)
+    _, spec = _prologue(cfg, "converge", cfg.N_ref, cfg.variant)
 
     report = run_convergence(spec, cfg.Ns, cfg.N_ref)
     lines = ["N,err_L2,rate_L2,err_H1,rate_H1"]
@@ -315,15 +308,10 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 def cmd_compare(cfg: RunConfig) -> int:
     labels = ["k"] if cfg.k is not None else ["k1", "k2"]
-    exprs = _parse_exprs(cfg)
-    ks = [exprs[label] for label in labels]
-    # run_comparison solves each of ks in both variants; the spec's own k
-    # and variant are not used
-    spec = _build_spec(cfg, {**exprs, "k": ks[0]}, cfg.N, "acute")
-    os.makedirs(cfg.output, exist_ok=True)
-    _echo_config(cfg, "compare", spec.q)
-
-    reports = run_comparison(spec, ks, cfg.grid_points)
+    # run_comparison solves each diffusivity in both variants; the spec is
+    # its first solve's problem, whose k and variant it replaces
+    exprs, spec = _prologue(cfg, "compare", cfg.N, "acute", labels[0])
+    reports = run_comparison(spec, [exprs[label] for label in labels], cfg.grid_points)
     files = []
     for label, rep in zip(labels, reports):
         name = "compare.csv" if label == "k" else f"compare_{label}.csv"
@@ -342,15 +330,15 @@ def _parser() -> argparse.ArgumentParser:
         prog="fracspec",
         description="Spectral solver for two-sided fractional diffusion problems",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("solve", "solve one problem and write solution.csv + summary.txt"),
-        ("converge", "run a degree sweep and write convergence.csv"),
-        ("compare", "solve both operator variants and write comparison CSVs"),
-    ]:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, help="path to JSON config")
-        sp.add_argument("--out", default=None, help="output directory override")
+    ap.add_argument(
+        "command",
+        choices=_COMMANDS,
+        help="solve: one problem, writes solution.csv + summary.txt; "
+        "converge: a degree sweep, writes convergence.csv; "
+        "compare: both operator variants, writes the comparison CSVs",
+    )
+    ap.add_argument("--config", required=True, help="path to JSON config")
+    ap.add_argument("--out", default=None, help="output directory override")
     return ap
 
 

@@ -19,7 +19,8 @@ from .spaces import error_norms
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Rows (N, err_L2, rate_L2, err_H1, rate_H1); rates are None on the
-    first row.  predicted holds the (L2, energy) exponents for the config."""
+    first row and next to an error of 0.  predicted holds the (L2, energy)
+    exponents for the config."""
 
     rows: tuple
     predicted: tuple
@@ -107,26 +108,20 @@ def run_convergence(
         phi_ref = solve(spec_ref, system).phi
     except Exception as exc:
         raise RuntimeError(f"convergence run failed at N={N_ref}: {exc}") from exc
-    errs = []
+    rows, Np, e0p, e1p = [], None, 0.0, 0.0
     for N in Ns:
         try:
             sol = solve(replace(spec_base, N=N, quad_points=q), system.leading(N))
         except Exception as exc:
             raise RuntimeError(f"convergence run failed at N={N}: {exc}") from exc
-        errs.append(error_norms(phi_ref, sol.phi, [0.0, 1.0]))
-    def rate(ep: float, e: float, Np: int, N: int):
-        # a manufactured-exact run can hit error 0, where the log ratio is undefined
-        if ep <= 0.0 or e <= 0.0:
-            return None
-        return observed_rate(ep, e, Np, N)
-
-    rows = []
-    for i, (N, (e0, e1)) in enumerate(zip(Ns, errs)):
-        if i == 0:
-            rows.append((N, e0, None, e1, None))
-        else:
-            Np, (e0p, e1p) = Ns[i - 1], errs[i - 1]
-            rows.append((N, e0, rate(e0p, e0, Np, N), e1, rate(e1p, e1, Np, N)))
+        e0, e1 = error_norms(phi_ref, sol.phi, [0.0, 1.0])
+        # no rate where an error is 0, as the log ratio is undefined there:
+        # the first row reads the zeros set above, and a manufactured-exact
+        # run can reach 0
+        r0 = None if e0p <= 0.0 or e0 <= 0.0 else observed_rate(e0p, e0, Np, N)
+        r1 = None if e1p <= 0.0 or e1 <= 0.0 else observed_rate(e1p, e1, Np, N)
+        rows.append((N, e0, r0, e1, r1))
+        Np, e0p, e1p = N, e0, e1
     return ConvergenceReport(tuple(rows), pred, spec_base)
 
 

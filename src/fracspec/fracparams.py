@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import JacobiParams, _size, log_gamma
+from .jacobi import JacobiParams, as_index, log_gamma
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ def mu(fp: FracParams, k):
     """
     scalar = not (isinstance(k, np.ndarray) and k.ndim)
     if scalar:
-        ks = [_size(k)]
+        ks = [as_index(k)]
     elif k.dtype.kind in "iu":
         ks = k.ravel().tolist()
     else:

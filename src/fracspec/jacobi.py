@@ -65,7 +65,7 @@ def as_params(p) -> JacobiParams:
     return JacobiParams(float(a), float(b))
 
 
-def _size(n) -> int:
+def as_index(n) -> int:
     """operator.index(n), refusing a bool as it refuses a float."""
     if isinstance(n, bool):
         raise TypeError("'bool' object cannot be interpreted as an integer")
@@ -127,7 +127,7 @@ def eval_Ghat_table(p, N: int, x) -> np.ndarray:
     bytes of x, so a hit returns the very array an earlier call built.
     """
     p = as_params(p)
-    N = _size(N)
+    N = as_index(N)
     if N < 0:
         raise ValueError(f"eval_Ghat_table: need degree N >= 0, got N={N}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -238,7 +238,7 @@ def gauss_jacobi(p, n: int) -> QuadratureRule:
     exponents and n, so a hit returns the very rule an earlier call built.
     """
     p = as_params(p)
-    n = _size(n)
+    n = as_index(n)
     if n < 1:
         raise ValueError(f"gauss_jacobi: need at least one point, got n={n}")
     # nodes and weights, 8 bytes each per point

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .assembly import DiscreteSystem, ProblemSpec, assemble_system, k_floor
-from .linsolve import condition_estimate, factor, lu_solve
+from .linsolve import SingularMatrixError, condition_estimate, factor, lu_solve
 from .spaces import CoeffVec, eval_solution
 
 
@@ -38,7 +38,8 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
     A system's entries are checked where it is built, A by factor() again
     and the rhs by lu_solve(); phi is checked here, by the max|phi| that the
     relative residual ||A phi - rhs||_inf / (||A||_inf ||phi||_inf) reads,
-    with CoeffVec's error, so the CoeffVec returned is not checked again.
+    so the CoeffVec returned is not checked again; a phi that overflows is
+    a SingularMatrixError, the system having no solution in floats.
     """
     if system is None:
         system = assemble_system(spec)
@@ -51,9 +52,9 @@ def solve(spec: ProblemSpec, system: Optional[DiscreteSystem] = None) -> Solutio
     phi_vec, pivot_growth = lu_solve(factors, system.rhs)
     cond = condition_estimate(factors)
     phi_max = np.maximum.reduce(np.abs(phi_vec))
-    # max|phi| is non-finite exactly when an entry is: CoeffVec's check
+    # max|phi| is non-finite exactly when an entry is
     if not math.isfinite(phi_max):
-        raise ValueError("CoeffVec: coefficients must be finite")
+        raise SingularMatrixError("solve: the solution overflows: phi is not finite")
     res = system.matrix @ phi_vec - system.rhs
     a_inf = np.maximum.reduce(np.add.reduce(np.abs(system.matrix), axis=1))
     denom = float(a_inf * phi_max)

@@ -221,6 +221,51 @@ def test_b0_tends_to_minus_second_derivative(r):
         assert abs(value / (m * m * math.pi ** 2) - 1.0) < 0.005
 
 
+def _lambda_1(k, variant: str, N: int) -> complex:
+    """The smallest-|lambda| eigenvalue of L u = lambda u at alpha 1.5,
+    r 0.3, b = 0: of the pencil (B0, M), M the reaction block at c = 1."""
+    spec = _spec(r=0.3, variant=variant, N=N, k=k, c=_one)
+    lam = scipy.linalg.eigvals(assemble_B0(spec), assemble_B2(spec))
+    return lam[np.argmin(np.abs(lam))]
+
+
+SPECTRUM_KS = {
+    "1": _one,
+    "3": lambda x: np.full_like(x, 3.0),
+    "1+2x": lambda x: 1.0 + 2.0 * x,
+}
+
+
+@pytest.mark.parametrize("variant", ["acute", "grave"])
+@pytest.mark.parametrize("k", list(SPECTRUM_KS))
+def test_lowest_eigenvalue_is_converged_at_N_32(k, variant):
+    # measured at most 1.0e-11 apart
+    k = SPECTRUM_KS[k]
+    assert abs(_lambda_1(k, variant, 32) - _lambda_1(k, variant, 64)) < 1e-9
+
+
+def test_lowest_eigenvalue_scales_with_a_constant_k_in_both_models():
+    lam = {
+        (k, variant): _lambda_1(SPECTRUM_KS[k], variant, 32)
+        for k in ("1", "3")
+        for variant in ("acute", "grave")
+    }
+    assert lam["1", "acute"] == pytest.approx(3.5340876294, rel=1e-9)
+    for k in ("1", "3"):
+        assert abs(lam[k, "acute"] - lam[k, "grave"]) <= 1e-10 * abs(lam[k, "acute"])
+    three = lam["3", "acute"]
+    assert abs(three - 3.0 * lam["1", "acute"]) <= 1e-10 * abs(three)
+
+
+def test_lowest_eigenvalue_tells_the_models_apart_for_variable_k():
+    # a converged difference of 4.1e-3 between the acute and grave operators
+    acute = _lambda_1(SPECTRUM_KS["1+2x"], "acute", 32)
+    grave = _lambda_1(SPECTRUM_KS["1+2x"], "grave", 32)
+    assert acute == pytest.approx(6.5150105772, rel=1e-9)
+    assert grave == pytest.approx(6.5191088477, rel=1e-9)
+    assert abs(acute - grave) > 1e-3
+
+
 def test_b0_frozen_corner_entry():
     B0 = assemble_B0(_spec())
     assert B0[0, 0] == pytest.approx(0.9399856029866253, rel=1e-10)

@@ -913,6 +913,27 @@ def test_converge_numerical_failure_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, kw", [
+    ("solve", dict(N=8)),
+    ("converge", dict(Ns=[4, 6], N_ref=8)),
+])
+def test_overflowing_solution_exits_2(tmp_path, command, kw):
+    # every entry of the system is finite, but phi ~ 1e300 / 1e-300 is not;
+    # converge fails at its reference solve and keeps the exit code
+    cfg = _base(tmp_path, k="1e-300", b="0", c="0", f="1e300", grid_points=5, **kw)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fracspec.cli", command, "--config", cfg],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("fracspec: numerical failure: ")
+    assert "the solution overflows" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("command, kw", [
     ("solve", dict(N=8, grid_points=11)),
     ("converge", dict(Ns=[4, 6], N_ref=10)),
 ])
@@ -947,5 +968,18 @@ def test_console_script_help():
         timeout=60,
     )
     assert proc.returncode == 0
-    for word in ("solve", "converge", "compare"):
+    # each command and the files it writes, and the two options
+    for word in ("solve", "solution.csv", "summary.txt", "converge",
+                 "convergence.csv", "compare", "--config", "--out"):
         assert word in proc.stdout
+
+
+def test_unknown_command_exits_2_and_names_the_choices(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", _base(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'sweep'" in err
+    for command in ("solve", "converge", "compare"):
+        assert command in err
+    assert not (tmp_path / "out").exists()

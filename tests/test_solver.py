@@ -11,6 +11,7 @@ from fracspec.coeffexpr import EvalError, parse
 from fracspec.fracparams import solve_beta
 from fracspec.experiments import run_comparison, run_convergence
 from fracspec.jacobi import JacobiParams, _memo, eval_Ghat_table
+from fracspec.linsolve import SingularMatrixError
 from fracspec.solver import Solution, solve
 from fracspec.spaces import error_norms, eval_solution
 from reference_math import gamma
@@ -93,6 +94,16 @@ def test_non_finite_coefficient_is_an_eval_error():
     inf_f = ProblemSpec(**{**kw, "f": lambda x: np.full_like(x, np.inf)})
     with pytest.raises(EvalError, match="coefficient is inf at x"):
         solve(inf_f)
+
+
+def test_overflowing_solution_is_a_singular_matrix_error():
+    # every entry of A and the rhs is finite, but phi ~ 1e300 / 1e-300 is
+    # not: a numerical failure, not CoeffVec's ValueError
+    fp = solve_beta(1.3, 0.5)
+    spec = ProblemSpec(fp=fp, variant="acute", k=lambda x: np.full_like(x, 1e-300),
+                       b=_zero, c=_zero, f=lambda x: np.full_like(x, 1e300), N=8)
+    with pytest.raises(SingularMatrixError, match="^solve: the solution overflows"):
+        solve(spec)
 
 
 def test_boundary_values_exactly_zero():
