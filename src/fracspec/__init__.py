@@ -20,14 +20,8 @@ from .jacobi import (
     log_gamma,
 )
 from .fracparams import FracParams, mu, predicted_rates, solve_beta
-from .coeffexpr import EvalError, Expr, ParseError, breakpoints, parse, pretty
-from .spaces import (
-    CoeffVec,
-    error_norms,
-    eval_solution,
-    project,
-    sobolev_norm,
-)
+from .coeffexpr import EvalError, Expr, ParseError, parse
+from .spaces import CoeffVec, error_norms, eval_solution, project
 from .assembly import (
     AssemblyError,
     DiscreteSystem,
@@ -69,14 +63,11 @@ __all__ = [
     "EvalError",
     "Expr",
     "ParseError",
-    "breakpoints",
     "parse",
-    "pretty",
     "CoeffVec",
     "error_norms",
     "eval_solution",
     "project",
-    "sobolev_norm",
     "AssemblyError",
     "DiscreteSystem",
     "ProblemSpec",

@@ -73,6 +73,7 @@ class Expr:
         pass
 
     def pretty(self) -> str:
+        """Canonical rendering; parse(e.pretty()) reproduces the same tree."""
         return self._fmt(0)
 
     def _fmt(self, ctx: int) -> str:
@@ -392,10 +393,6 @@ def parse(src: str) -> Expr:
     return _Parser(src).parse()
 
 
-def breakpoints(e: Expr) -> list[float]:
-    return e.breakpoints()
-
-
 def breaks_of(fn) -> list[float]:
     """Breakpoints of a coefficient strictly inside (0,1); [] for a callable
     that reports none."""
@@ -427,8 +424,3 @@ def sample(fn, x: np.ndarray) -> np.ndarray:
         i = np.argmin(finite)  # the first non-finite value
         raise EvalError(f"coefficient is {vals.flat[i]} at x = {x.flat[i]:.17g}")
     return vals
-
-
-def pretty(e: Expr) -> str:
-    """Canonical rendering; parse(pretty(e)) reproduces the same tree."""
-    return e.pretty()

@@ -93,7 +93,8 @@ def run_convergence(
 
     Every degree shares the reference's quadrature size q =
     replace(spec_base, N=N_ref).q, so the system is assembled once, at N_ref,
-    and degree N solves its leading (N+1)x(N+1) block.  Ns failing
+    and degree N solves its leading (N+1)x(N+1) block.  The reported errors
+    so leave out each degree's own quadrature error.  Ns failing
     check_degrees, a quad_points below N_ref + 20, or a NaN s_f is a
     ValueError raised before any assembly.  spec_base.N is not used.
     """

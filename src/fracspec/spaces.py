@@ -70,29 +70,6 @@ def project(f, p, N: int, quad_points: int) -> CoeffVec:
     return CoeffVec(p, V.T @ (rule.weights * sample(f, rule.nodes)))
 
 
-def sobolev_norm(v: CoeffVec, s: float) -> float:
-    """sqrt(sum_j (1+j^2)^s v_j^2); s=0 is the weighted L2 norm (Parseval)."""
-    return _sobolev_norms(v.coeffs, [s])[0]
-
-
-def _sobolev_norms(c: np.ndarray, orders: Sequence[float]) -> list[float]:
-    """sobolev_norm of the coefficients c at each order, with the weights
-    1+j^2 and c^2 formed once for all of them.  Orders 0 and 1 read c^2
-    and w c^2 without the power, whose bits they are: pow(w, 0) = 1 and
-    pow(w, 1) = w exactly."""
-    # written so that NaN fails too
-    bad = [s for s in orders if not s >= 0]
-    if bad:
-        raise ValueError(f"sobolev_norm: order must be nonnegative, got {bad[0]}")
-    j = np.arange(c.size)
-    w, c2 = 1.0 + j * j, c * c
-    norms = []
-    for s in orders:
-        terms = c2 if s == 0 else w * c2 if s == 1 else w ** s * c2
-        norms.append(math.sqrt(np.add.reduce(terms)))
-    return norms
-
-
 def eval_solution(phis: Sequence[CoeffVec], x) -> list:
     """u(x) = omega(x) * sum_j phi_j Ghat_j^{(a,b)}(x) for each expansion in
     phis, which share one basis (a, b) and one degree; omega = (1-x)^a x^b
@@ -125,17 +102,24 @@ def eval_solution(phis: Sequence[CoeffVec], x) -> list:
 def error_norms(
     phi_ref: CoeffVec, phi_N: CoeffVec, mu_list: Sequence[float]
 ) -> list[float]:
-    """Sobolev norms of phi_ref - phi_N for each order in mu_list.
+    """Sobolev norms sqrt(sum_j (1+j^2)^mu d_j^2) of d = phi_ref - phi_N
+    for each order mu in mu_list.
 
     The shorter vector is zero-padded, so a truncated solution is compared
     against a longer reference directly.  mu=0 gives the quantity equal to
-    the omega^{-1}-weighted L2 error of u itself; mu=1 is the energy-norm
-    surrogate.
+    the omega^{-1}-weighted L2 error of u itself (Parseval); mu=1 is the
+    energy-norm surrogate.  The weights 1+j^2 and d^2 are formed once for
+    all orders; orders 0 and 1 read d^2 and w d^2 without the power, whose
+    bits they are: pow(w, 0) = 1 and pow(w, 1) = w exactly.
     """
     if phi_ref.params != phi_N.params:
         raise ValueError(
             f"error_norms: basis mismatch, {phi_ref.params} vs {phi_N.params}"
         )
+    # written so that NaN fails too
+    bad = [s for s in mu_list if not s >= 0]
+    if bad:
+        raise ValueError(f"error_norms: order must be nonnegative, got {bad[0]}")
     longer, shorter = phi_ref.coeffs, phi_N.coeffs
     if longer.size < shorter.size:
         longer, shorter = shorter, longer
@@ -143,4 +127,10 @@ def error_norms(
     # norms read only its squares, so phi_N - phi_ref serves as well
     diff = longer.copy()
     diff[: shorter.size] -= shorter
-    return _sobolev_norms(diff, mu_list)
+    j = np.arange(diff.size)
+    w, d2 = 1.0 + j * j, diff * diff
+    norms = []
+    for s in mu_list:
+        terms = d2 if s == 0 else w * d2 if s == 1 else w ** s * d2
+        norms.append(math.sqrt(np.add.reduce(terms)))
+    return norms

@@ -163,11 +163,13 @@ def test_solve_summary_bytes_frozen(tmp_path):
 
 
 # SHA-256 of solution.csv for the config above under each OpenBLAS core,
-# taken for SkylakeX before the CSV writer formatted each file in one pass;
-# the bytes must not move
+# taken for SkylakeX before the CSV writer formatted each file in one pass
+# (Sandybridge's later, from code that still gave the SkylakeX and Haswell
+# bytes); the bytes must not move
 CASE_A_N8_SOLUTION_SHA256 = {
     "SkylakeX": "8973f8eed6015c2813bc014d098d4bd70cf23713456f6062230c55f54076e15f",
     "Haswell": "5f04ad3bb1fd5ef00abfdb3a764d8a90bf72d0424a9c211867a3dee61cb562b2",
+    "Sandybridge": "dd8a8ebc707ef081cdcfee87a8ffae47b1821f88675e0dc43eff4fec710e3249",
 }
 
 
@@ -308,7 +310,8 @@ def test_compare_pair_of_diffusivities(tmp_path):
 
 # SHA-256 of the compare CSVs of _pair_config under each OpenBLAS core,
 # taken for SkylakeX before the CSV writer formatted each file in one pass
-# and the grid table was shared
+# and the grid table was shared (Sandybridge's later, from code that still
+# gave the SkylakeX and Haswell bytes)
 PAIR_SHA256 = {
     "SkylakeX": {
         "compare_k1.csv": "ac5d43377ce5f7cc38ef35a2a6686646b30033075630dd3930e7a2716b231878",
@@ -317,6 +320,10 @@ PAIR_SHA256 = {
     "Haswell": {
         "compare_k1.csv": "f7332444e03ce0c70d197a2fc0cd6c78ac4ef0aacdd814aefd09ab99ea1ccb7d",
         "compare_k2.csv": "3b2e5d576eb7f7bb220bcee44bca0e57a9e43431327aed2335ce9807880d1215",
+    },
+    "Sandybridge": {
+        "compare_k1.csv": "f80056db67c3552e5a71b229ef2fb1219275073b08b1aef1c1f758c0e11da5f6",
+        "compare_k2.csv": "fde75cf721b71446fffcda7b98024d49d676118c2a585a2474fc4366682b6aac",
     },
 }
 
@@ -404,11 +411,13 @@ def _readme_config():
 
 
 # SHA-256 of convergence.csv for the README's config under each OpenBLAS
-# core, taken for SkylakeX before the config reader was shortened; the bytes
-# must not move
+# core, taken for SkylakeX before the config reader was shortened
+# (Sandybridge's later, from code that still gave the SkylakeX and Haswell
+# bytes); the bytes must not move
 README_CONVERGENCE_SHA256 = {
     "SkylakeX": "690f36486a5c3409c95e58035431c04a12904c8ccafd16b21ce2ef3de3771309",
     "Haswell": "84c325536522abbc691067085921832cc3d2fe6c835509920c548aa0386071e3",
+    "Sandybridge": "3794bdf327436713adce8e733a7fc106c062d6709b01328b3da418ea61e66558",
 }
 
 

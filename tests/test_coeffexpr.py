@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracspec import EvalError, ParseError, breakpoints, parse, pretty
+from fracspec import EvalError, ParseError, parse
 from fracspec.coeffexpr import breaks_of, sample
 
 
@@ -54,14 +54,14 @@ def test_piecewise_inactive_branch_not_evaluated():
 
 
 def test_breakpoints_collection():
-    assert breakpoints(parse("1+2*x")) == []
-    assert breakpoints(parse("piecewise(0.5; 2; 1)")) == [0.5]
+    assert parse("1+2*x").breakpoints() == []
+    assert parse("piecewise(0.5; 2; 1)").breakpoints() == [0.5]
     nested = parse("piecewise(0.25; piecewise(0.5; 1; 2); 3)")
-    assert breakpoints(nested) == [0.25, 0.5]
+    assert nested.breakpoints() == [0.25, 0.5]
     # duplicates collapse; values outside the open interval are dropped
     twice = parse("piecewise(0.5; 1; 2) + piecewise(0.5; 3; 4)")
-    assert breakpoints(twice) == [0.5]
-    assert breakpoints(parse("piecewise(2; 1; 0)")) == []
+    assert twice.breakpoints() == [0.5]
+    assert parse("piecewise(2; 1; 0)").breakpoints() == []
 
 
 def test_constant_breakpoint_may_be_an_expression():
@@ -247,8 +247,8 @@ def test_pretty_round_trip_examples():
         "1/(2/x)",
         "2-(3-4)",
     ]:
-        once = pretty(parse(src))
-        twice = pretty(parse(once))
+        once = parse(src).pretty()
+        twice = parse(once).pretty()
         assert once == twice
         xs = np.linspace(0.01, 0.99, 7)
         assert np.allclose(parse(src)(xs), parse(once)(xs), rtol=1e-15, atol=0)
@@ -275,8 +275,8 @@ def _expr_strings(depth=3):
 @settings(max_examples=150, deadline=None)
 @given(_expr_strings())
 def test_pretty_fixed_point_property(src):
-    once = pretty(parse(src))
-    assert pretty(parse(once)) == once
+    once = parse(src).pretty()
+    assert parse(once).pretty() == once
 
 
 @settings(max_examples=300, deadline=None)
